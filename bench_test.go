@@ -210,6 +210,55 @@ func BenchmarkE8CorpusSuggestions(b *testing.B) {
 			}
 		})
 	}
+
+	// Long-session arms: the corpus is recorded through
+	// core.Supervisor from DefaultMix lines, so it holds every verdict
+	// and the duplicates a running classroom accumulates. Each times
+	// the Learning_Angel's Suggest against that corpus and the cost of
+	// supervising one more line: a syntax error (the line that searches
+	// the corpus) and a DefaultMix line. The process arms grow the
+	// corpus by b.N lines; run them with a fixed count, e.g.
+	//
+	//	go test -run '^$' -bench 'E8CorpusSuggestions/session' -benchtime 1000x
+	for _, lines := range []int{1000, 10000, 100000} {
+		b.Run(fmt.Sprintf("session-%d", lines), func(b *testing.B) {
+			gen := workload.NewGenerator(8, onto)
+			sup, err := core.New(core.Config{Ontology: onto})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i, s := range gen.Generate(lines, workload.DefaultMix()) {
+				if _, err := sup.Process(fmt.Sprintf("room-%d", i%8), fmt.Sprintf("learner-%d", i%24), s.Text); err != nil {
+					b.Fatal(err)
+				}
+			}
+			queries := make([][]string, 64)
+			for i := range queries {
+				queries[i] = linkgrammar.Tokenize(gen.SyntaxError().Text)
+			}
+			b.Run("suggest", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					sup.Corpus().Suggest(queries[i%len(queries)], nil, 3)
+				}
+			})
+			process := func(b *testing.B, next func() workload.Sample) {
+				texts := make([]string, b.N)
+				for i := range texts {
+					texts[i] = next().Text
+				}
+				b.ResetTimer()
+				for i, text := range texts {
+					if _, err := sup.Process(fmt.Sprintf("room-%d", i%8), fmt.Sprintf("learner-%d", i%24), text); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.Run("process-syntax-error", func(b *testing.B) { process(b, gen.SyntaxError) })
+			b.Run("process-mix", func(b *testing.B) {
+				process(b, func() workload.Sample { return gen.Generate(1, workload.DefaultMix())[0] })
+			})
+		})
+	}
 }
 
 // BenchmarkE9ShardedSupervision measures concurrent classroom

@@ -25,7 +25,7 @@ func TestAsyncPipelineOrdering(t *testing.T) {
 
 	// SendQueue must hold the whole burst (msgs chat echoes + msgs agent
 	// responses) because the client sends all messages before reading;
-	// the default 64 would trip the drop-stalled-client path.
+	// it is sized here so the test does not lean on the default.
 	s := NewServer(ServerOptions{
 		Supervisor: sup, Async: true, Workers: 4, SuperviseQueue: 8,
 		SendQueue: 4 * msgs,

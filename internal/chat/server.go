@@ -47,9 +47,15 @@ type ServerOptions struct {
 	BatchSupervise bool
 	// Logger receives operational messages; nil discards them.
 	Logger *log.Logger
-	// SendQueue is the per-client outgoing buffer. When a slow client's
-	// queue fills, the client is dropped (a supervised classroom must
-	// not let one stalled socket block the room).
+	// SendQueue is the per-client outgoing buffer, in frames (default
+	// 256). When a slow client's queue fills, the client is dropped (a
+	// supervised classroom must not let one stalled socket block the
+	// room). The default leaves room for a healthy client's traffic in
+	// flight: a learner keeping 34 lines unacknowledged (two windows of
+	// the classroom benchmark) draws an echo and one to three agent
+	// responses for each, plus a roommate's echoes. At 64 frames such a
+	// burst overflowed whenever the connection's writer fell a few
+	// milliseconds behind, and a healthy client was dropped as stalled.
 	SendQueue int
 	// HistorySize keeps the last N chat messages per room and replays
 	// them to joining clients, so late learners see the recent
@@ -203,7 +209,7 @@ type client struct {
 // NewServer returns an unstarted server.
 func NewServer(opts ServerOptions) *Server {
 	if opts.SendQueue <= 0 {
-		opts.SendQueue = 64
+		opts.SendQueue = 256
 	}
 	s := &Server{
 		opts:    opts,

@@ -7,10 +7,11 @@ package corpus
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -46,7 +47,9 @@ func (v Verdict) String() string {
 	}
 }
 
-// Record is one corpus entry.
+// Record is one corpus entry. Every Record the store hands out (ByID,
+// All, ByTopic, Suggest) is a deep copy, so a caller may mutate it
+// without touching the store or its suggestion index.
 type Record struct {
 	ID      int64     `json:"id"`
 	Time    time.Time `json:"time"`
@@ -62,11 +65,32 @@ type Record struct {
 	Topics []string `json:"topics,omitempty"`
 	// Tags carries free-form labels ("agreement", "determiner", ...).
 	Tags []string `json:"tags,omitempty"`
+}
 
-	// contentLen caches len(uniqueContentTokens(Tokens)), computed when
-	// the record is indexed. Suggest's Jaccard union needs only the
-	// count, so candidates are scored without re-tokenizing the record.
+// clone returns a copy of r that shares no slice memory with it.
+func (r *Record) clone() Record {
+	out := *r
+	out.Tokens = append([]string(nil), r.Tokens...)
+	out.ErrorTokens = append([]int(nil), r.ErrorTokens...)
+	out.Topics = append([]string(nil), r.Topics...)
+	out.Tags = append([]string(nil), r.Tags...)
+	return out
+}
+
+// group is one distinct correct sentence of the suggestion index. A
+// query's score for a record depends only on the record's Tokens and
+// Topics, so every correct record sharing both is scored once, as a
+// group, however often learners have said it.
+type group struct {
+	// tokens and topics are the key; member records share these
+	// slices, which the store never mutates.
+	tokens []string
+	topics []string
+	// contentLen is len(uniqueContentTokens(tokens)): Suggest's Jaccard
+	// union needs only the count.
 	contentLen int
+	ids        []int64 // member record IDs, ascending
+	next       *group  // next group whose records have the same Text
 }
 
 // Observer is the write-ahead-log hook: it receives every mutation
@@ -78,13 +102,21 @@ type Record struct {
 // journaling.
 type Observer func(Record) uint64
 
-// Store is the in-memory learner corpus with an inverted token index.
+// Store is the in-memory learner corpus. It keeps every record it is
+// given (the log Len, All, SaveJSONL and journal recovery read), plus a
+// suggestion index over the distinct correct sentences among them.
 type Store struct {
 	mu      sync.RWMutex
 	records []*Record
-	byToken map[string][]int64 // content token -> record IDs
 	byID    map[int64]*Record
 	nextID  int64
+
+	// The suggestion index: byText chains the groups of each record
+	// Text (so finding a known sentence's group hashes a string and
+	// allocates nothing), byToken posts each group under its unique
+	// content tokens.
+	byText  map[string]*group
+	byToken map[string][]*group
 
 	// observer and lsn implement the journal hook: lsn is the highest
 	// WAL sequence number reflected in the store's state, persisted by
@@ -119,8 +151,9 @@ func (s *Store) SetJournalLSN(v uint64) {
 // NewStore returns an empty corpus.
 func NewStore() *Store {
 	return &Store{
-		byToken: make(map[string][]int64),
 		byID:    make(map[int64]*Record),
+		byText:  make(map[string]*group),
+		byToken: make(map[string][]*group),
 		nextID:  1,
 	}
 }
@@ -136,17 +169,10 @@ func (s *Store) Add(r Record) int64 {
 		r.Time = time.Now()
 	}
 	rec := r
-	rec.Tokens = append([]string(nil), r.Tokens...)
-	rec.ErrorTokens = append([]int(nil), r.ErrorTokens...)
-	rec.Topics = append([]string(nil), r.Topics...)
-	rec.Tags = append([]string(nil), r.Tags...)
+	g := s.adopt(&rec)
 	s.records = append(s.records, &rec)
 	s.byID[rec.ID] = &rec
-	content := uniqueContentTokens(rec.Tokens)
-	rec.contentLen = len(content)
-	for _, t := range content {
-		s.byToken[t] = append(s.byToken[t], rec.ID)
-	}
+	s.index(&rec, g)
 	if s.observer != nil {
 		s.lsn = s.observer(rec)
 	}
@@ -164,42 +190,111 @@ func (s *Store) Put(r Record) {
 }
 
 func (s *Store) putLocked(r Record) {
+	old, replace := s.byID[r.ID]
+	if replace {
+		// The old version may belong to another group than the new
+		// one, or to none: take it out before indexing the new one.
+		s.unindex(old)
+	}
 	stored := r
-	stored.Tokens = append([]string(nil), r.Tokens...)
-	stored.ErrorTokens = append([]int(nil), r.ErrorTokens...)
-	stored.Topics = append([]string(nil), r.Topics...)
-	stored.Tags = append([]string(nil), r.Tags...)
-	if old, ok := s.byID[stored.ID]; ok {
-		// Replace in place: drop the old token postings, overwrite the
-		// shared record (records slice and byID point at the same
-		// *Record), and index the new tokens.
-		for _, t := range uniqueContentTokens(old.Tokens) {
-			ids := s.byToken[t]
-			keep := ids[:0]
-			for _, id := range ids {
-				if id != old.ID {
-					keep = append(keep, id)
-				}
-			}
-			if len(keep) == 0 {
-				delete(s.byToken, t)
-			} else {
-				s.byToken[t] = keep
-			}
-		}
+	g := s.adopt(&stored)
+	rec := &stored
+	if replace {
+		// The records slice and byID share the *Record: overwrite it.
 		*old = stored
+		rec = old
 	} else {
-		s.records = append(s.records, &stored)
-		s.byID[stored.ID] = &stored
+		s.records = append(s.records, rec)
+		s.byID[rec.ID] = rec
 	}
-	rec := s.byID[stored.ID]
-	content := uniqueContentTokens(rec.Tokens)
-	rec.contentLen = len(content)
-	for _, t := range content {
-		s.byToken[t] = append(s.byToken[t], rec.ID)
-	}
+	s.index(rec, g)
 	if rec.ID >= s.nextID {
 		s.nextID = rec.ID + 1
+	}
+}
+
+// adopt replaces r's slices with ones the store owns and returns the
+// index group r joins, if the index already holds its sentence; r
+// then shares that group's Tokens and Topics instead of copying them.
+func (s *Store) adopt(r *Record) *group {
+	g := s.groupOf(r)
+	if g != nil {
+		r.Tokens, r.Topics = g.tokens, g.topics
+	} else {
+		r.Tokens = append([]string(nil), r.Tokens...)
+		r.Topics = append([]string(nil), r.Topics...)
+	}
+	r.ErrorTokens = append([]int(nil), r.ErrorTokens...)
+	r.Tags = append([]string(nil), r.Tags...)
+	return g
+}
+
+// groupOf returns the index group r belongs to, or nil when r is not a
+// correct sentence or no indexed record shares its Tokens and Topics.
+func (s *Store) groupOf(r *Record) *group {
+	if r.Verdict != VerdictCorrect {
+		return nil
+	}
+	for g := s.byText[r.Text]; g != nil; g = g.next {
+		if slices.Equal(g.tokens, r.Tokens) && slices.Equal(g.topics, r.Topics) {
+			return g
+		}
+	}
+	return nil
+}
+
+// index adds a stored record to the suggestion index, joining g, the
+// group adopt found for it, or starting a new group when g is nil.
+func (s *Store) index(r *Record, g *group) {
+	if r.Verdict != VerdictCorrect {
+		return
+	}
+	if g != nil {
+		i, _ := slices.BinarySearch(g.ids, r.ID)
+		g.ids = slices.Insert(g.ids, i, r.ID)
+		return
+	}
+	content := uniqueContentTokens(r.Tokens)
+	g = &group{tokens: r.Tokens, topics: r.Topics, contentLen: len(content), ids: []int64{r.ID}, next: s.byText[r.Text]}
+	s.byText[r.Text] = g
+	for _, t := range content {
+		s.byToken[t] = append(s.byToken[t], g)
+	}
+}
+
+// unindex removes a stored record from the suggestion index, dropping
+// its group once the group has no records left.
+func (s *Store) unindex(r *Record) {
+	g := s.groupOf(r)
+	if g == nil {
+		return
+	}
+	if i, ok := slices.BinarySearch(g.ids, r.ID); ok {
+		g.ids = slices.Delete(g.ids, i, i+1)
+	}
+	if len(g.ids) > 0 {
+		return
+	}
+	if head := s.byText[r.Text]; head == g {
+		if g.next == nil {
+			delete(s.byText, r.Text)
+		} else {
+			s.byText[r.Text] = g.next
+		}
+	} else {
+		for prev := head; prev != nil; prev = prev.next {
+			if prev.next == g {
+				prev.next = g.next
+				break
+			}
+		}
+	}
+	for _, t := range uniqueContentTokens(g.tokens) {
+		if kept := slices.DeleteFunc(s.byToken[t], func(x *group) bool { return x == g }); len(kept) > 0 {
+			s.byToken[t] = kept
+		} else {
+			delete(s.byToken, t)
+		}
 	}
 }
 
@@ -218,7 +313,7 @@ func (s *Store) ByID(id int64) (Record, bool) {
 	if !ok {
 		return Record{}, false
 	}
-	return *r, true
+	return r.clone(), true
 }
 
 // All returns copies of every record in insertion order.
@@ -227,7 +322,7 @@ func (s *Store) All() []Record {
 	defer s.mu.RUnlock()
 	out := make([]Record, len(s.records))
 	for i, r := range s.records {
-		out[i] = *r
+		out[i] = r.clone()
 	}
 	return out
 }
@@ -269,54 +364,72 @@ func (s *Store) Suggest(tokens []string, topics []string, limit int) []Suggestio
 
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	// Gather candidates via the inverted index.
-	hits := make(map[int64]int)
+	// Count shared query tokens per distinct sentence.
+	hits := make(map[*group]int)
 	for _, t := range query {
-		for _, id := range s.byToken[t] {
-			hits[id]++
+		for _, g := range s.byToken[t] {
+			hits[g]++
 		}
 	}
-	// Score candidates by ID + cached content-token count only; the
-	// full Record is copied just for the winners below, so a query
-	// against a large corpus stays O(candidates) small allocations
-	// instead of re-tokenizing and copying every matching record.
-	type scored struct {
-		id    int64
+	// Score each distinct sentence once, keeping the best limit groups
+	// by (score desc, lowest ID asc) in a bounded insertion. Every
+	// record of the overall top limit lies in one of these groups: a
+	// record in any other group is outranked by the lowest-ID record
+	// of each of the limit groups kept ahead of its own.
+	type ranked struct {
+		g     *group
 		score float64
 	}
-	cands := make([]scored, 0, len(hits))
-	for id, shared := range hits {
-		r := s.byID[id]
-		if r.Verdict != VerdictCorrect {
-			continue
-		}
-		union := r.contentLen + len(query) - shared
+	// Sized for limit <= 3 (the default; the agents ask for 1 or 2), so
+	// the common query keeps best and cands off the heap.
+	var bestBuf [4]ranked
+	best := bestBuf[:0]
+	for g, shared := range hits {
+		union := g.contentLen + len(query) - shared
 		if union <= 0 {
 			continue
 		}
 		score := float64(shared) / float64(union)
-		for _, topic := range r.Topics {
+		for _, topic := range g.topics {
 			if topicSet[topic] {
 				score += 0.25
 			}
 		}
-		cands = append(cands, scored{id: id, score: score})
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].score != cands[j].score {
-			return cands[i].score > cands[j].score
+		i := len(best)
+		for i > 0 && (score > best[i-1].score || score == best[i-1].score && g.ids[0] < best[i-1].g.ids[0]) {
+			i--
 		}
-		return cands[i].id < cands[j].id
-	})
-	if len(cands) > limit {
-		cands = cands[:limit]
+		if i < limit {
+			best = slices.Insert(best, i, ranked{g: g, score: score})
+			best = best[:min(len(best), limit)]
+		}
 	}
-	if len(cands) == 0 {
+	if len(best) == 0 {
 		return nil
 	}
+	// Expand the kept groups to records (the lowest limit IDs of each
+	// suffice) and rank those by (score desc, ID asc).
+	type scored struct {
+		id    int64
+		score float64
+	}
+	var candBuf [9]scored
+	cands := candBuf[:0]
+	for _, b := range best {
+		for _, id := range b.g.ids[:min(len(b.g.ids), limit)] {
+			cands = append(cands, scored{id: id, score: b.score})
+		}
+	}
+	slices.SortFunc(cands, func(a, b scored) int {
+		if c := cmp.Compare(b.score, a.score); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	cands = cands[:min(len(cands), limit)]
 	out := make([]Suggestion, len(cands))
 	for i, c := range cands {
-		out[i] = Suggestion{Record: *s.byID[c.id], Score: c.score}
+		out[i] = Suggestion{Record: s.byID[c.id].clone(), Score: c.score}
 	}
 	return out
 }
@@ -329,7 +442,7 @@ func (s *Store) ByTopic(topic string) []Record {
 	for _, r := range s.records {
 		for _, t := range r.Topics {
 			if t == topic {
-				out = append(out, *r)
+				out = append(out, r.clone())
 				break
 			}
 		}
