@@ -331,14 +331,17 @@ func BenchmarkE9ShardedSupervision(b *testing.B) {
 }
 
 // BenchmarkE15WireToVerdict measures the full wire-to-verdict path
-// (experiment E15): real TCP loopback, async batched supervision, one
-// sub-benchmark per wire framing (DESIGN.md D13). Senders are
-// pipelined and the timer stops only after every sender's own echo
-// returned and the server quiesced, so msg/s is supervised throughput
-// and -benchmem's allocs/op is the process-wide heap cost per chat
-// message, both ends of the wire included. The worker-count sweep
-// lives in `evalharness -exp E15`; this fixed-shape variant feeds the
-// benchgate allocation budget.
+// (experiment E15): real TCP loopback, async per-message supervision
+// through the room-sharded pipeline, one sub-benchmark per wire framing
+// (DESIGN.md D13). Senders are pipelined with no window; a full
+// supervision shard back-pressures them through the server's reader.
+// The timer stops only after every sender's own echoes returned and the
+// server quiesced, so msg/s is supervised throughput and -benchmem's
+// allocs/op is the process-wide heap cost per chat message, both ends
+// of the wire included. A client the server drops fails the run at
+// once, naming the user. The worker-count sweep lives in
+// `evalharness -exp E15`; this fixed-shape variant feeds the benchgate
+// allocation budget.
 func BenchmarkE15WireToVerdict(b *testing.B) {
 	for _, tc := range []struct {
 		name string
@@ -353,13 +356,13 @@ func BenchmarkE15WireToVerdict(b *testing.B) {
 				b.Fatal(err)
 			}
 			server := chat.NewServer(chat.ServerOptions{
-				Supervisor:     sup.ChatSupervisor(),
-				Async:          true,
-				Workers:        4,
-				BatchSupervise: true,
+				Supervisor: sup.ChatSupervisor(),
+				Async:      true,
+				Workers:    4,
 				// Deep client queues: pipelined senders outrun their own
-				// read loops in bursts, and a dropped client would hang
-				// the echo wait.
+				// read loops in bursts, and a dropped client fails the
+				// run. With the default 256 frames an unwindowed sender
+				// was still dropped.
 				SendQueue: 4096,
 			})
 			addr, err := server.Listen("127.0.0.1:0")
@@ -379,8 +382,15 @@ func BenchmarkE15WireToVerdict(b *testing.B) {
 				cl   *chat.Client
 				user string
 			}
+			counts := make([]int, rooms*perRoom)
+			for i := 0; i < b.N; i++ {
+				counts[i%len(counts)]++
+			}
 			var clients []bclient
 			var echoWG, rwg sync.WaitGroup
+			// A receiver whose connection closes before its own last
+			// echo was dropped by the server; it reports on lost.
+			lost := make(chan error, len(counts))
 			for r := 0; r < rooms; r++ {
 				for c := 0; c < perRoom; c++ {
 					user := fmt.Sprintf("user-%d-%d", r, c)
@@ -389,16 +399,27 @@ func BenchmarkE15WireToVerdict(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
+					want := counts[len(clients)]
 					clients = append(clients, bclient{cl: cl, user: user})
+					echoWG.Add(1)
 					rwg.Add(1)
-					go func(cl *chat.Client, user string) {
+					go func(cl *chat.Client, user string, want int) {
 						defer rwg.Done()
+						got := 0
+						if want == 0 {
+							echoWG.Done()
+						}
 						for m := range cl.Receive() {
 							if m.Type == chat.TypeChat && m.From == user {
-								echoWG.Done()
+								if got++; got == want {
+									echoWG.Done()
+								}
 							}
 						}
-					}(cl, user)
+						if got < want {
+							lost <- fmt.Errorf("%s: connection closed after %d of %d echoes (client dropped)", user, got, want)
+						}
+					}(cl, user, want)
 				}
 			}
 			defer rwg.Wait()
@@ -408,11 +429,6 @@ func BenchmarkE15WireToVerdict(b *testing.B) {
 				}
 			}()
 
-			counts := make([]int, len(clients))
-			for i := 0; i < b.N; i++ {
-				counts[i%len(clients)]++
-			}
-			echoWG.Add(b.N)
 			errCh := make(chan error, len(clients))
 			b.ResetTimer()
 			var swg sync.WaitGroup
@@ -422,7 +438,7 @@ func BenchmarkE15WireToVerdict(b *testing.B) {
 					defer swg.Done()
 					for k := 0; k < n; k++ {
 						if err := c.cl.Say(lines[(off+k)%len(lines)]); err != nil {
-							errCh <- err
+							errCh <- fmt.Errorf("%s say: %w", c.user, err)
 							return
 						}
 					}
@@ -438,6 +454,8 @@ func BenchmarkE15WireToVerdict(b *testing.B) {
 			go func() { echoWG.Wait(); close(echoed) }()
 			select {
 			case <-echoed:
+			case err := <-lost:
+				b.Fatal(err)
 			case <-time.After(120 * time.Second):
 				b.Fatal("echo timeout")
 			}

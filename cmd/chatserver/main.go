@@ -57,7 +57,6 @@ func main() {
 		queue       = flag.Int("queue", 0, "async supervision queue per shard (0 = 256)")
 		noSupervise = flag.Bool("nosupervise", false, "disable the agents (plain chat room)")
 		wire        = flag.String("wire", "binary", "wire formats accepted: binary (negotiate length-prefixed framing with willing clients) or text (newline-JSON only)")
-		batch       = flag.Bool("batch", false, "coalesce a room's queued messages into batched supervision (requires -async)")
 
 		useJournal  = flag.Bool("journal", false, "write-ahead journal in the data dir: crash recovery for the knowledge stores (requires -data)")
 		journalSync = flag.Bool("journal-sync", false, "fsync the journal on every record instead of batched group commit")
@@ -82,8 +81,7 @@ func main() {
 	}
 	cfg := serverConfig{
 		addr: *addr, dataDir: *dataDir, async: *async, noSupervise: *noSupervise,
-		workers: *workers, queue: *queue,
-		textOnly: *wire == "text", batch: *batch,
+		workers: *workers, queue: *queue, textOnly: *wire == "text",
 		journal: *useJournal, journalSync: *journalSync,
 		ckptEvery: *ckptEvery, ckptBytes: *ckptBytes,
 		metricsAddr: *metricsAddr, shedPolicy: policy,
@@ -98,7 +96,7 @@ func main() {
 type serverConfig struct {
 	addr, dataDir        string
 	async, noSupervise   bool
-	textOnly, batch      bool
+	textOnly             bool
 	workers, queue       int
 	journal, journalSync bool
 	ckptEvery            time.Duration
@@ -117,10 +115,7 @@ func run(c serverConfig) error {
 	opts := chat.ServerOptions{
 		Logger: logger, Async: c.async, Workers: c.workers, SuperviseQueue: c.queue,
 		ShedPolicy: c.shedPolicy, RoomHighWater: c.roomQueue, GlobalHighWater: c.inflightCap,
-		Metrics: reg, DisableBinaryWire: c.textOnly, BatchSupervise: c.batch,
-	}
-	if c.batch && (!c.async || c.noSupervise) {
-		return fmt.Errorf("-batch requires async supervision (-async without -nosupervise)")
+		Metrics: reg, DisableBinaryWire: c.textOnly,
 	}
 
 	if c.journal && c.dataDir == "" {

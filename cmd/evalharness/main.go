@@ -486,8 +486,8 @@ func runE15(p params) error {
 		return err
 	}
 	header("E15 wire-to-verdict: text vs binary framing over TCP (D13)")
-	fmt.Printf("rooms: %d   clients/room: %d   messages/client: %d   batch: %v\n",
-		res.Config.Rooms, res.Config.ClientsPerRoom, res.Config.MessagesEach, !res.Config.NoBatch)
+	fmt.Printf("rooms: %d   clients/room: %d   messages/client: %d\n",
+		res.Config.Rooms, res.Config.ClientsPerRoom, res.Config.MessagesEach)
 	fmt.Println("wire     workers   msgs  throughput   allocs/msg   bytes/msg")
 	for _, arm := range res.Arms {
 		fmt.Printf("%-8s %7d  %5d  %8.0f/s  %11.0f  %10.0f\n",

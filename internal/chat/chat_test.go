@@ -277,3 +277,63 @@ func TestCodecRoundTrip(t *testing.T) {
 		t.Errorf("round trip = %+v", got)
 	}
 }
+
+// TestConcurrentJoinsAnnouncedOnce joins a room's members all at once
+// (the shape of a failover's relinks) and checks that, of every pair,
+// exactly one member was told of the other's join — the later joiner's
+// notice reaches the earlier one, never both ways.
+func TestConcurrentJoinsAnnouncedOnce(t *testing.T) {
+	addr := startServer(t, ServerOptions{})
+	const rooms, members = 20, 16
+	for r := 0; r < rooms; r++ {
+		room := fmt.Sprintf("room-%d", r)
+		clients := make([]*Client, members)
+		var wg sync.WaitGroup
+		errs := make(chan error, members)
+		for i := range clients {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				c, err := Dial(addr, room, fmt.Sprintf("u%d", i), 2*time.Second)
+				if err != nil {
+					errs <- err
+					return
+				}
+				clients[i] = c
+			}(i)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatalf("dial: %v", err)
+		}
+		// Every join notice is queued before the marker's broadcast, so
+		// reading up to the marker sees all of them.
+		if err := clients[0].Say("marker"); err != nil {
+			t.Fatal(err)
+		}
+		saw := make(map[[2]int]bool)
+		for i, c := range clients {
+			waitFor(t, c, 2*time.Second, func(m Message) bool {
+				var j int
+				if m.Type == TypeSystem {
+					if _, err := fmt.Sscanf(m.Text, "u%d joined the room", &j); err == nil && j != i {
+						saw[[2]int{i, j}] = true
+					}
+				}
+				return m.Type == TypeChat && m.Text == "marker"
+			})
+		}
+		for i := 0; i < members; i++ {
+			for j := i + 1; j < members; j++ {
+				if saw[[2]int{i, j}] == saw[[2]int{j, i}] {
+					t.Errorf("%s: u%d and u%d: notice seen i->j %v, j->i %v; want exactly one",
+						room, i, j, saw[[2]int{i, j}], saw[[2]int{j, i}])
+				}
+			}
+		}
+		for _, c := range clients {
+			c.Close()
+		}
+	}
+}

@@ -203,18 +203,6 @@ type Supervisor interface {
 	Process(room, user, text string) []Response
 }
 
-// BatchSupervisor is an optional Supervisor extension: a supervisor
-// that can amortize per-message fixed costs (snapshot pins, vocabulary
-// checks, dictionary and parse-cache lookups) across a burst of
-// same-room messages. The result is index-aligned with users/texts;
-// each element is that message's responses, as Process would have
-// returned them. A server with ServerOptions.BatchSupervise coalesces
-// a room's queued messages into one ProcessBatch call.
-type BatchSupervisor interface {
-	Supervisor
-	ProcessBatch(room string, users, texts []string) [][]Response
-}
-
 // SupervisorFunc adapts a function to the Supervisor interface.
 type SupervisorFunc func(room, user, text string) []Response
 

@@ -34,17 +34,6 @@ type ServerOptions struct {
 	// (default 256). A full shard blocks the flooding client's reader
 	// — backpressure — rather than dropping supervision.
 	SuperviseQueue int
-	// BatchSupervise coalesces a room's queued messages into one
-	// supervision task: the first message of a burst schedules a batch
-	// task, later messages arriving before it runs piggyback on it, and
-	// the task drains the room's pending buffer through the
-	// supervisor's ProcessBatch — one snapshot pin and dictionary
-	// warm-up per burst instead of per message. Requires Async and a
-	// Supervisor implementing BatchSupervisor; ignored (per-message
-	// tasks) otherwise. Response semantics, per-room ordering and
-	// Quiesce are unchanged; under admission control a shed batch task
-	// sheds the messages it covered.
-	BatchSupervise bool
 	// Logger receives operational messages; nil discards them.
 	Logger *log.Logger
 	// SendQueue is the per-client outgoing buffer, in frames (default
@@ -101,10 +90,7 @@ type Server struct {
 	listener net.Listener
 	// pipe fans async supervision out by room; nil in inline/off modes.
 	pipe *pipeline.Pipeline
-	// batcher is the supervisor's batch interface when BatchSupervise
-	// coalescing is active; nil runs per-message supervision tasks.
-	batcher BatchSupervisor
-	met     *chatMetrics
+	met  *chatMetrics
 
 	mu      sync.Mutex
 	rooms   map[string]*room
@@ -153,23 +139,6 @@ type room struct {
 	// supervision pipeline sees messages in the order the room did —
 	// even when they come from different clients' reader goroutines.
 	sayMu sync.Mutex
-
-	// Batch coalescing state (BatchSupervise mode), guarded by batchMu
-	// — a separate, innermost lock so the batch worker draining pending
-	// never contends with a submitter blocked on queue space under
-	// sayMu. Invariant: batchScheduled ⇒ a task is queued, running, or
-	// mid-Submit that will drain pendingBatch (a shed clears both).
-	batchMu        sync.Mutex
-	pendingBatch   []batchItem
-	batchScheduled bool
-}
-
-// batchItem is one coalesced chat line awaiting batch supervision; the
-// client is kept so private responses reach the speaker.
-type batchItem struct {
-	c    *client
-	user string
-	text string
 }
 
 // outMsg is one queued delivery: the Message, plus the shared
@@ -219,11 +188,6 @@ func NewServer(opts ServerOptions) *Server {
 		met:     newChatMetrics(opts.Metrics),
 	}
 	if opts.Async && opts.Supervisor != nil {
-		if opts.BatchSupervise {
-			// Coalescing needs the batch entry point; a supervisor
-			// without one keeps per-message tasks.
-			s.batcher, _ = opts.Supervisor.(BatchSupervisor)
-		}
 		cfg := pipeline.Config{
 			Workers:   opts.Workers,
 			QueueSize: opts.SuperviseQueue,
@@ -240,23 +204,11 @@ func NewServer(opts ServerOptions) *Server {
 			// simulation's virtual time.
 			Clock: s.clk,
 		}
-		if s.batcher != nil {
-			// One wakeup can drain several rooms' batch tasks sharing a
-			// shard — the same amortization, one level down.
-			cfg.BatchDrain = 8
-		}
-		if s.met != nil || opts.OnShed != nil || s.batcher != nil {
+		if s.met != nil || opts.OnShed != nil {
 			// OnShed sees every dropped supervision — rejected new
 			// tasks and oldest-drop evictions alike; counting Submit
 			// errors instead would miss the evictions entirely.
 			cfg.OnShed = func(room string) {
-				if s.batcher != nil {
-					// The shed task was a batch drainer: clear the room's
-					// coalescing state so the messages it covered are
-					// dropped and the next say schedules a fresh task
-					// (otherwise batchScheduled would latch true forever).
-					s.clearBatch(room)
-				}
 				if s.met != nil {
 					s.met.shed.Inc()
 				}
@@ -463,10 +415,11 @@ func (s *Server) handleConn(conn net.Conn) {
 		resume: first.Resume,
 		conn:   conn,
 		codec:  codec,
-		// The queue must absorb the join-time burst — welcome plus a
-		// full history replay, enqueued before the writer goroutine
-		// starts — on top of the configured live-traffic slack.
-		out:  make(chan outMsg, s.opts.SendQueue+s.opts.HistorySize+1),
+		// The queue must absorb the join-time burst — welcome, a full
+		// history replay and the join notice, enqueued before the
+		// writer goroutine starts — on top of the configured
+		// live-traffic slack.
+		out:  make(chan outMsg, s.opts.SendQueue+s.opts.HistorySize+2),
 		done: make(chan struct{}),
 	}
 	if first.Wire == WireBinary && !s.opts.DisableBinaryWire {
@@ -517,10 +470,6 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 	}()
 
-	s.broadcast(c.room, Message{
-		Type: TypeSystem, Room: c.room,
-		Text: c.name + " joined the room", Time: s.clk.Now(),
-	}, nil)
 	s.logf("chat: %s joined %s", c.name, c.room)
 
 	for {
@@ -610,14 +559,10 @@ func (s *Server) handleSay(c *client, text string) {
 		}
 		r.sayMu.Lock()
 		s.broadcast(c.room, chatMsg, nil)
-		if s.batcher != nil {
-			s.submitBatch(r, c, text)
-		} else {
-			// Shed returns (ErrShed) are counted by the pipeline's OnShed
-			// hook; ErrClosed (shutdown) is the only other outcome.
-			//semalint:allow shedhandled: sheds are counted by the OnShed hook above; ErrClosed only means shutdown
-			_ = s.pipe.Submit(c.room, deliver)
-		}
+		// Shed returns (ErrShed) are counted by the pipeline's OnShed
+		// hook; ErrClosed (shutdown) is the only other outcome.
+		//semalint:allow shedhandled: sheds are counted by the OnShed hook above; ErrClosed only means shutdown
+		_ = s.pipe.Submit(c.room, deliver)
 		r.sayMu.Unlock()
 		return
 	}
@@ -625,91 +570,9 @@ func (s *Server) handleSay(c *client, text string) {
 	deliver()
 }
 
-// submitBatch coalesces one message into the room's pending batch and
-// schedules the drain task when none is in flight. Callers hold the
-// room's sayMu, so pending order is broadcast order and at most one
-// goroutine per room is in the schedule/rollback path at a time.
-func (s *Server) submitBatch(r *room, c *client, text string) {
-	r.batchMu.Lock()
-	r.pendingBatch = append(r.pendingBatch, batchItem{c: c, user: c.name, text: text})
-	schedule := !r.batchScheduled
-	if schedule {
-		r.batchScheduled = true
-	}
-	r.batchMu.Unlock()
-	if !schedule {
-		return // piggybacks on the task already in flight
-	}
-	if err := s.pipe.Submit(r.name, func() { s.superviseBatch(r) }); err != nil {
-		// Shed (OnShed already cleared the room's state) or shutdown:
-		// drop the burst so the next say schedules a fresh task.
-		s.clearBatch(r.name)
-	}
-}
-
-// superviseBatch is the coalesced drain task: it empties the room's
-// pending buffer through the supervisor's batch entry point, looping so
-// messages that arrived while a batch was mid-supervision are drained
-// by this task instead of scheduling another. It clears batchScheduled
-// only on seeing an empty buffer, under the same lock appends take —
-// so every coalesced message is covered by some task until supervised
-// or deliberately shed.
-func (s *Server) superviseBatch(r *room) {
-	var items []batchItem
-	for {
-		r.batchMu.Lock()
-		if len(r.pendingBatch) == 0 {
-			r.batchScheduled = false
-			r.batchMu.Unlock()
-			return
-		}
-		items = append(items[:0], r.pendingBatch...)
-		r.pendingBatch = r.pendingBatch[:0]
-		r.batchMu.Unlock()
-
-		users := make([]string, len(items))
-		texts := make([]string, len(items))
-		for i, it := range items {
-			users[i], texts[i] = it.user, it.text
-		}
-		for i, resps := range s.batcher.ProcessBatch(r.name, users, texts) {
-			for _, resp := range resps {
-				msg := Message{
-					Type: TypeAgent, Room: r.name, Agent: resp.Agent,
-					Text: resp.Text, Time: s.clk.Now(), Private: resp.Private,
-				}
-				if s.met != nil {
-					s.met.agentMsgs.Inc()
-				}
-				if resp.Private {
-					s.enqueue(items[i].c, msg)
-				} else {
-					s.broadcast(r.name, msg, nil)
-				}
-			}
-		}
-	}
-}
-
-// clearBatch drops a room's coalescing state after its drain task was
-// shed or refused: the covered messages lose their supervision (that is
-// what shedding means) and the next say schedules afresh.
-func (s *Server) clearBatch(roomName string) {
-	s.mu.Lock()
-	r := s.rooms[roomName]
-	s.mu.Unlock()
-	if r == nil {
-		return
-	}
-	r.batchMu.Lock()
-	r.pendingBatch = r.pendingBatch[:0]
-	r.batchScheduled = false
-	r.batchMu.Unlock()
-}
-
-// join registers the client and queues its welcome plus the room's
-// history replay in the same critical section that makes the client a
-// broadcast recipient. Broadcasters also hold s.mu, so every room
+// join registers the client and queues its welcome, the room's history
+// replay and the room-wide join notice in the same critical section
+// that makes the client a broadcast recipient. Broadcasters also hold s.mu, so every room
 // message either predates the join (it is in the replayed history, and
 // only there) or follows it (it is queued live, after the replay) —
 // a late joiner sees each message exactly once, welcome first.
@@ -736,6 +599,20 @@ func (s *Server) join(c *client) error {
 		for _, m := range r.history {
 			s.enqueue(c, m)
 		}
+	}
+	// The join notice goes out in the same critical section, to the
+	// members as of this join, the joiner included. Two clients joining
+	// at once (a failover's relinks) then yield one notice for the pair:
+	// announced after unlocking, each could reach the other.
+	notice := Message{
+		Type: TypeSystem, Room: c.room,
+		Text: c.name + " joined the room", Time: s.clk.Now(),
+	}
+	for _, member := range r.members {
+		s.enqueue(member, notice)
+	}
+	if s.met != nil {
+		s.met.fanout.Add(int64(len(r.members)))
 	}
 	return nil
 }

@@ -292,54 +292,16 @@ type Assessment struct {
 // worst the message is judged against the knowledge state from just
 // before the mutation (the bounded-staleness window of DESIGN.md D8).
 func (s *Supervisor) Process(room, user, text string) (*Assessment, error) {
-	snap, err := s.pinSnapshot()
-	if err != nil {
-		return nil, err
-	}
-	return s.processWith(snap, room, user, text)
-}
-
-// ProcessBatch supervises a burst of same-room messages in submission
-// order with one snapshot pin and at most one vocabulary sync for the
-// whole batch — the per-message fixed costs a busy classroom pays
-// thousands of times per minute are paid once per burst. Each message
-// is still assessed independently and recorded individually; the
-// result slice is index-aligned with users/texts. On error the slice
-// holds the assessments completed so far (nil from the failed index).
-func (s *Supervisor) ProcessBatch(room string, users, texts []string) ([]*Assessment, error) {
-	if len(users) != len(texts) {
-		return nil, fmt.Errorf("process batch: %d users for %d texts", len(users), len(texts))
-	}
-	snap, err := s.pinSnapshot()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Assessment, len(texts))
-	for i := range texts {
-		a, err := s.processWith(snap, room, users[i], texts[i])
-		if err != nil {
-			return out, err
-		}
-		out[i] = a
-	}
-	return out, nil
-}
-
-// pinSnapshot takes the per-message (or per-batch) ontology snapshot
-// and, when a newer snapshot carries new course vocabulary, teaches it
-// before parsing (bumping the dictionary generation and flushing the
-// parse cache exactly once per publication).
-func (s *Supervisor) pinSnapshot() (*ontology.Snapshot, error) {
+	// When the pinned snapshot carries course vocabulary the dictionary
+	// has not been taught yet, teach it before parsing (bumping the
+	// dictionary generation and flushing the parse cache exactly once
+	// per publication).
 	snap := s.onto.Snapshot()
 	if snap.Version() > s.vocabVersion.Load() {
 		if err := s.syncVocabulary(snap); err != nil {
 			return nil, fmt.Errorf("sync vocabulary: %w", err)
 		}
 	}
-	return snap, nil
-}
-
-func (s *Supervisor) processWith(snap *ontology.Snapshot, room, user, text string) (*Assessment, error) {
 	var start time.Time
 	if s.met != nil {
 		start = timeNow()
@@ -483,9 +445,7 @@ func (s *Supervisor) Recommend(user string, limit int) []recommend.Recommendatio
 
 // ChatSupervisor adapts the Supervisor to the chat.Supervisor interface;
 // pipeline errors turn into (rare) silent skips rather than crashing the
-// chat room. The returned value also implements chat.BatchSupervisor, so
-// a server running with BatchSupervise coalesces a room's burst into one
-// snapshot pin and vocabulary check.
+// chat room.
 func (s *Supervisor) ChatSupervisor() chat.Supervisor {
 	return chatAdapter{s}
 }
@@ -501,25 +461,4 @@ func (ad chatAdapter) Process(room, user, text string) []chat.Response {
 		return nil
 	}
 	return a.Responses
-}
-
-// ProcessBatch implements chat.BatchSupervisor: one snapshot pin and
-// vocabulary sync for the whole burst, per-message assessment and
-// recording unchanged. Commands keep their place in the burst.
-func (ad chatAdapter) ProcessBatch(room string, users, texts []string) [][]chat.Response {
-	out := make([][]chat.Response, len(texts))
-	snap, err := ad.s.pinSnapshot()
-	if err != nil {
-		return out
-	}
-	for i, text := range texts {
-		if IsCommand(text) {
-			out[i] = ad.s.Command(room, users[i], text)
-			continue
-		}
-		if a, err := ad.s.processWith(snap, room, users[i], text); err == nil {
-			out[i] = a.Responses
-		}
-	}
-	return out
 }

@@ -25,9 +25,6 @@ type E15Config struct {
 	MessagesEach int
 	// Seed drives the workload generator.
 	Seed int64
-	// NoBatch disables batched supervision (ServerOptions.BatchSupervise)
-	// for both arms; the default measures the deployed fast path.
-	NoBatch bool
 }
 
 func (c *E15Config) fill() {
@@ -114,10 +111,9 @@ func runE15Arm(cfg E15Config, workers int, wire chat.Wire) (*E15Arm, error) {
 		return nil, err
 	}
 	server := chat.NewServer(chat.ServerOptions{
-		Supervisor:     sup.ChatSupervisor(),
-		Async:          true,
-		Workers:        workers,
-		BatchSupervise: !cfg.NoBatch,
+		Supervisor: sup.ChatSupervisor(),
+		Async:      true,
+		Workers:    workers,
 		// Deep client queues: pipelined senders outrun their own read
 		// loops in bursts, and a dropped client would end the arm.
 		SendQueue: 4096,
@@ -172,12 +168,15 @@ func runE15Arm(cfg E15Config, workers int, wire chat.Wire) (*E15Arm, error) {
 	// Receivers drain every broadcast for the whole arm (they only stop
 	// when the connection closes, after measurement); senders finish
 	// once their own last echo came back, so wg.Wait() means every chat
-	// line was accepted and delivered.
+	// line was accepted and delivered. A receiver whose connection
+	// closes before its last echo was dropped by the server: it fails
+	// the arm at once instead of leaving its sender to time out.
 	var wg, rwg sync.WaitGroup
 	errCh := make(chan error, 2*len(scripts))
 	for i, sc := range scripts {
 		cl := clients[i]
 		echoDone := make(chan struct{})
+		lost := make(chan struct{})
 		rwg.Add(1)
 		go func(user string, want int) {
 			defer rwg.Done()
@@ -188,6 +187,10 @@ func runE15Arm(cfg E15Config, workers int, wire chat.Wire) (*E15Arm, error) {
 						close(echoDone)
 					}
 				}
+			}
+			if got < want {
+				errCh <- fmt.Errorf("%s: connection closed after %d of %d echoes (client dropped)", user, got, want)
+				close(lost)
 			}
 		}(sc.user, cfg.MessagesEach)
 		// Sender: pipelined, no per-message echo wait.
@@ -202,6 +205,7 @@ func runE15Arm(cfg E15Config, workers int, wire chat.Wire) (*E15Arm, error) {
 			}
 			select {
 			case <-echoDone:
+			case <-lost:
 			case <-time.After(60 * time.Second):
 				errCh <- fmt.Errorf("%s: echo timeout", sc.user)
 			}

@@ -124,14 +124,6 @@ type Config struct {
 	// submitter to hand an error to. Called outside all pipeline locks.
 	OnShed func(room string)
 
-	// BatchDrain lets a worker that wakes for one task drain up to this
-	// many queued tasks from its shard and run them back to back,
-	// amortizing the wakeup (and the submitter/worker cache handoff)
-	// across a burst. Every task keeps its own accounting — queue-wait
-	// and duration observations, completion counters, Drain/Close
-	// semantics are unchanged. 0 or 1 disables batching.
-	BatchDrain int
-
 	// Metrics, if set, registers the pipeline's counters, gauges and
 	// latency histograms (semagent_pipeline_*).
 	Metrics *metrics.Registry
@@ -331,25 +323,10 @@ func (p *Pipeline) worker(sh *shard) {
 	defer p.wg.Done()
 	for t := range sh.jobs {
 		p.runTask(sh, t)
-		// Batch drain: opportunistically run whatever else is already
-		// queued (bounded), without ever blocking on an empty queue.
-	drain:
-		for n := 1; n < p.cfg.BatchDrain; n++ {
-			select {
-			case t2, ok := <-sh.jobs:
-				if !ok {
-					return // Close: channel drained and closed
-				}
-				p.runTask(sh, t2)
-			default:
-				break drain
-			}
-		}
 	}
 }
 
-// runTask executes one task with full per-task accounting; batch
-// draining changes when tasks run, never how they are counted.
+// runTask executes one task with full per-task accounting.
 func (p *Pipeline) runTask(sh *shard, t *task) {
 	// Timestamps come from the injected clock so that, under the
 	// simulator's virtual clock, the same seed reproduces the same

@@ -1,7 +1,9 @@
 package simulate
 
 import (
+	"fmt"
 	"sync"
+	"time"
 
 	"semagent/internal/chat"
 	"semagent/internal/core"
@@ -30,9 +32,12 @@ type VerdictEntry struct {
 // only its inner supervisor is swapped — so the verdict log spans the
 // whole session.
 type recorder struct {
-	mu      sync.Mutex
-	inner   *core.Supervisor
-	gate    chan struct{}
+	mu    sync.Mutex
+	inner *core.Supervisor
+	gate  chan struct{}
+	// arrived counts Process calls that reached a closed gate since
+	// closeGate — how a paced burst sees the worker parked on a task.
+	arrived int
 	expects map[string][]workload.Kind // per-user FIFO of ground truth
 	log     []VerdictEntry
 	// resolve, when set, routes each message to the supervisor owning
@@ -61,11 +66,41 @@ func (r *recorder) expect(user string, kind workload.Kind) {
 	r.mu.Unlock()
 }
 
-// closeGate makes Process block until openGate; openGate releases it.
+// closeGate makes Process block until openGate (or, one call at a
+// time, admitOne); openGate releases it.
 func (r *recorder) closeGate() {
 	r.mu.Lock()
 	r.gate = make(chan struct{})
+	r.arrived = 0
 	r.mu.Unlock()
+}
+
+// gateArrivals reports how many Process calls have reached the closed
+// gate since closeGate, released or not.
+func (r *recorder) gateArrivals() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.arrived
+}
+
+// admitOne lets exactly one Process call through the closed gate,
+// waiting (bounded) for a call to take it.
+func (r *recorder) admitOne(timeout time.Duration) error {
+	r.mu.Lock()
+	gate := r.gate
+	r.mu.Unlock()
+	if gate == nil {
+		return nil
+	}
+	//semalint:allow injectedclock: bounds a real hand-off to a parked worker goroutine; virtual time cannot unblock it
+	t := time.NewTimer(timeout)
+	defer t.Stop()
+	select {
+	case gate <- struct{}{}:
+		return nil
+	case <-t.C:
+		return fmt.Errorf("no supervision task reached the gate")
+	}
 }
 
 func (r *recorder) openGate() {
@@ -92,6 +127,9 @@ func (r *recorder) Process(room, user, text string) []chat.Response {
 		r.expects[user] = q[1:]
 	}
 	resolve := r.resolve
+	if gate != nil {
+		r.arrived++
+	}
 	r.mu.Unlock()
 	if gate != nil {
 		<-gate

@@ -23,7 +23,10 @@ const (
 	// them — the rapid-fire / overload shape. With Scenario.GateBursts
 	// the supervisor is held shut for the duration, so admission
 	// control's shed decisions depend only on queue depths (which the
-	// burst fills deterministically), not on worker timing.
+	// burst fills deterministically), not on worker timing. Without
+	// admission control an async burst is paced (runner.pacedBurst):
+	// the reader still blocks on the full shard, but which line blocks
+	// and where each response lands among the echoes is fixed.
 	StepBurst
 	// StepLeave sends a protocol leave.
 	StepLeave

@@ -421,6 +421,9 @@ func (r *runner) burst(st Step) error {
 	if err != nil {
 		return err
 	}
+	if r.sc.Async && !r.sc.GateBursts && r.sc.ShedPolicy == pipeline.ShedNone {
+		return r.pacedBurst(c, srv, st)
+	}
 	var before pipeline.Stats
 	if r.sc.GateBursts {
 		before, _ = srv.SupervisionStats()
@@ -459,6 +462,61 @@ func (r *runner) burst(st Step) error {
 			return fmt.Errorf("burst accounting never settled")
 		}
 		r.rec.openGate()
+	}
+	return nil
+}
+
+// pacedBurst floods an async room under blocking backpressure with a
+// schedule the run fixes, not the goroutine scheduler. The supervisor
+// gate is held shut and the lines go out one at a time, each only after
+// the previous one's Submit is resolved (queued, or blocked on the full
+// shard) with the worker parked at the gate. A blocked line is let
+// through by admitting exactly one supervision: its private response is
+// queued to the sender before the worker frees the slot, so it lands
+// ahead of the next line's echo. Left free-running, the order of a
+// sender's echoes and its feedback depended on whether the room's
+// worker or the client's reader ran first.
+func (r *runner) pacedBurst(c *simClient, srv *chat.Server, st Step) error {
+	before, _ := srv.SupervisionStats()
+	r.rec.closeGate()
+	defer r.rec.openGate()
+	released := 0
+	blocked := int64(0)
+	for i, text := range st.Texts {
+		r.rec.expect(st.User, st.Expect[i])
+		r.sentByUser[st.User]++
+		if err := c.codec.Write(chat.Message{Type: chat.TypeSay, Text: text}); err != nil {
+			return err
+		}
+		if err := c.readUntil(func(m chat.Message) bool {
+			return m.Type == chat.TypeChat && m.From == st.User && m.Text == text
+		}); err != nil {
+			return err
+		}
+		want := int64(i + 1)
+		var cur pipeline.Stats
+		if !clock.Until(settleTimeout, func() bool {
+			cur, _ = srv.SupervisionStats()
+			resolved := cur.Submitted-before.Submitted == want || cur.Blocked-before.Blocked > blocked
+			return resolved && r.rec.gateArrivals() == released+1
+		}) {
+			return fmt.Errorf("burst line %d: submit never resolved", i+1)
+		}
+		if cur.Submitted-before.Submitted == want {
+			continue
+		}
+		// Backpressure: the reader is blocked on the full shard.
+		blocked++
+		if err := r.rec.admitOne(settleTimeout); err != nil {
+			return err
+		}
+		released++
+		if !clock.Until(settleTimeout, func() bool {
+			cur, _ := srv.SupervisionStats()
+			return cur.Submitted-before.Submitted == want && r.rec.gateArrivals() == released+1
+		}) {
+			return fmt.Errorf("burst line %d: backpressure never released", i+1)
+		}
 	}
 	return nil
 }
