@@ -669,6 +669,54 @@ func BenchmarkParserBySentenceLength(b *testing.B) {
 	}
 }
 
+// BenchmarkParserValid measures the Learning_Angel's repair probe,
+// Parser.Valid, on the supervisor's cached parser. The probes are the
+// single-word drops and adjacent swaps of seeded syntax-error lines,
+// split into those that do not parse (most of them; this arm must
+// allocate nothing) and those that do. Probes never enter the cache, so
+// every iteration parses.
+func BenchmarkParserValid(b *testing.B) {
+	sup, err := core.New(core.Config{DisableRecording: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	parser := sup.Parser()
+	gen := workload.NewGenerator(22, sup.Ontology())
+	var failing, passing [][]string
+	for len(failing) < 256 || len(passing) < 64 {
+		tokens := linkgrammar.Tokenize(gen.SyntaxError().Text)
+		for i := range tokens {
+			probes := [][]string{append(append([]string(nil), tokens[:i]...), tokens[i+1:]...)}
+			if i+1 < len(tokens) {
+				swapped := append([]string(nil), tokens...)
+				swapped[i], swapped[i+1] = swapped[i+1], swapped[i]
+				probes = append(probes, swapped)
+			}
+			for _, p := range probes {
+				if parser.Valid(p) {
+					passing = append(passing, p)
+				} else {
+					failing = append(failing, p)
+				}
+			}
+		}
+	}
+	for _, arm := range []struct {
+		name   string
+		probes [][]string
+		want   bool
+	}{{"failing", failing, false}, {"passing", passing, true}} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if parser.Valid(arm.probes[i%len(arm.probes)]) != arm.want {
+					b.Fatal("probe verdict changed between runs")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkOntologyDistance isolates the semantic-distance query.
 func BenchmarkOntologyDistance(b *testing.B) {
 	onto := ontology.BuildCourseOntology()

@@ -134,8 +134,7 @@ func (a *Agent) CheckTokens(snap *ontology.Snapshot, text string, tokens []strin
 	}
 
 	// ---- label analysis & filter: classify what went wrong ---------
-	for _, i := range rep.UnknownWords {
-		_ = i
+	if len(rep.UnknownWords) > 0 {
 		rep.Tags = appendUnique(rep.Tags, TagUnknownWord)
 	}
 	if !rep.Parsed {
@@ -161,11 +160,9 @@ func (a *Agent) CheckTokens(snap *ontology.Snapshot, text string, tokens []strin
 // located null words, only those positions are edited; when the
 // sentence was wholly unparseable (common for agreement errors, which
 // break the only available linkage), every position is a candidate.
+// Candidates are probed with Parser.Valid, which leaves the parse cache
+// to the sentences learners actually type.
 func (a *Agent) repair(rep *Report) {
-	try := func(tokens []string) bool {
-		res, err := a.parser.ParseTokens(tokens)
-		return err == nil && res.Valid()
-	}
 	positions := rep.NullTokens
 	if len(positions) == 0 {
 		positions = make([]int, len(rep.Tokens))
@@ -185,7 +182,7 @@ func (a *Agent) repair(rep *Report) {
 		// words the unknown-word fallback would happily parse.
 		if alt != "" && alt != rep.Tokens[i] && a.parser.Dictionary().Has(alt) {
 			edited := replaceAt(rep.Tokens, i, alt)
-			if try(edited) {
+			if a.parser.Valid(edited) {
 				rep.Tags = appendUnique(rep.Tags, TagAgreement)
 				if rep.Repaired == "" {
 					rep.Repaired = strings.Join(edited, " ")
@@ -202,7 +199,7 @@ func (a *Agent) repair(rep *Report) {
 			continue
 		}
 		dropped := deleteAt(rep.Tokens, i)
-		if try(dropped) {
+		if a.parser.Valid(dropped) {
 			tag := TagExtraWord
 			if isDeterminer(rep.Tokens[i]) {
 				tag = TagDeterminer
@@ -222,7 +219,7 @@ func (a *Agent) repair(rep *Report) {
 				continue
 			}
 			swapped := swapAt(rep.Tokens, i, j)
-			if try(swapped) {
+			if a.parser.Valid(swapped) {
 				rep.Tags = appendUnique(rep.Tags, TagWordOrder)
 				if rep.Repaired == "" {
 					rep.Repaired = strings.Join(swapped, " ")

@@ -64,6 +64,11 @@ type link struct {
 
 	closed atomic.Bool // client is gone; no more relinks
 	busy   atomic.Int64
+
+	// clientBuffered and backBuffered publish how many bytes each
+	// codec's reader holds after its owning goroutine's last read, so
+	// Idle sees them without touching a codec that a pump is reading.
+	clientBuffered, backBuffered atomic.Int64
 }
 
 // NewGateway returns a gateway routing through the given fabric.
@@ -202,13 +207,13 @@ func (g *Gateway) Idle() bool {
 		if lk.busy.Load() != 0 {
 			return false
 		}
-		if pendingBytes(lk.clientConn) > 0 || lk.clientCodec.Buffered() > 0 {
+		if pendingBytes(lk.clientConn) > 0 || lk.clientBuffered.Load() > 0 {
 			return false
 		}
 		lk.mu.Lock()
-		conn, codec, epoch := lk.backConn, lk.backCodec, lk.epoch
+		conn, epoch := lk.backConn, lk.epoch
 		lk.mu.Unlock()
-		if conn == nil || pendingBytes(conn) > 0 || codec.Buffered() > 0 {
+		if conn == nil || pendingBytes(conn) > 0 || lk.backBuffered.Load() > 0 {
 			return false
 		}
 		if w, ok := conn.(readableWaiter); ok && w.Closed() {
@@ -272,6 +277,7 @@ func (g *Gateway) handleClient(conn net.Conn) {
 		codec.SetReadWire(chat.WireBinary)
 		codec.SetWriteWire(chat.WireBinary)
 	}
+	lk.clientBuffered.Store(int64(codec.Buffered()))
 
 	g.mu.Lock()
 	if g.closed {
@@ -331,6 +337,7 @@ func (g *Gateway) relink(lk *link, resume bool) (welcome chat.Message, ok bool) 
 		lk.mu.Lock()
 		lk.backConn = conn
 		lk.backCodec = codec
+		lk.backBuffered.Store(int64(codec.Buffered()))
 		lk.epoch = o.Epoch
 		lk.gen++
 		lk.mu.Unlock()
@@ -351,6 +358,7 @@ func (g *Gateway) pumpClientToBackend(lk *link) {
 		}
 		lk.busy.Add(1)
 		m, err := lk.clientCodec.Read()
+		lk.clientBuffered.Store(int64(lk.clientCodec.Buffered()))
 		if err != nil {
 			lk.busy.Add(-1)
 			break // client dropped (or sent garbage); sever the backend
@@ -436,6 +444,7 @@ func (g *Gateway) pumpBackendToClient(lk *link) {
 		}
 		lk.busy.Add(1)
 		m, err := codec.Read()
+		lk.backBuffered.Store(int64(codec.Buffered()))
 		if err != nil {
 			lk.busy.Add(-1)
 			if lk.closed.Load() {

@@ -2,7 +2,6 @@ package linkgrammar
 
 import (
 	"container/list"
-	"strings"
 	"sync"
 )
 
@@ -61,14 +60,10 @@ func newParseCache(capacity int) *parseCache {
 	}
 }
 
-// cacheKey joins the already-normalized tokens; 0x1f (unit separator)
-// cannot appear in Tokenize output.
-func cacheKey(tokens []string) string {
-	return strings.Join(tokens, "\x1f")
-}
-
-// appendCacheKey builds cacheKey(tokens) into dst, so a pooled buffer
-// can carry the key to getBytes without allocating a string per lookup.
+// appendCacheKey joins the already-normalized tokens into dst with 0x1f
+// (unit separator), which cannot appear in Tokenize output, so a pooled
+// buffer can carry the key to getBytes without allocating a string per
+// lookup.
 func appendCacheKey(dst []byte, tokens []string) []byte {
 	for i, t := range tokens {
 		if i > 0 {
@@ -79,9 +74,13 @@ func appendCacheKey(dst []byte, tokens []string) []byte {
 	return dst
 }
 
-// getBytes is get for a key held in a byte buffer. The map lookup uses
-// the compiler's map[string(bytes)] fast path, so cache hits cost no
-// allocation; only a miss (which parses anyway) materializes the key.
+// getBytes returns the cached result for a key held in a byte buffer,
+// flushing the cache first when the dictionary generation moved
+// forward. A reader holding an older generation (it read Generation
+// before a concurrent Define landed) just misses: it must re-parse
+// under the current vocabulary. The map lookup uses the compiler's
+// map[string(bytes)] fast path, so cache hits cost no allocation; only
+// a miss that parses materializes the key.
 func (c *parseCache) getBytes(key []byte, gen uint64) (*Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -91,28 +90,6 @@ func (c *parseCache) getBytes(key []byte, gen uint64) (*Result, bool) {
 		return nil, false
 	}
 	el, ok := c.idx[string(key)]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
-}
-
-// get returns the cached result for key, flushing the cache first when
-// the dictionary generation moved forward. A reader holding an older
-// generation (it read Generation before a concurrent Define landed)
-// just misses — it must re-parse under the current vocabulary.
-func (c *parseCache) get(key string, gen uint64) (*Result, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.syncGenLocked(gen)
-	if gen < c.gen {
-		c.misses++
-		return nil, false
-	}
-	el, ok := c.idx[key]
 	if !ok {
 		c.misses++
 		return nil, false

@@ -82,11 +82,13 @@ func Match(r, l Connector) bool {
 	if ru != lu || r.Name[:ru] != l.Name[:lu] {
 		return false
 	}
-	rs, ls := r.Name[ru:], l.Name[lu:]
-	n := len(rs)
-	if len(ls) < n {
-		n = len(ls)
-	}
+	return subscriptsMatch(r.Name[ru:], l.Name[lu:])
+}
+
+// subscriptsMatch compares two subscripts position by position: '*'
+// matches any character and a missing character matches anything.
+func subscriptsMatch(rs, ls string) bool {
+	n := min(len(rs), len(ls))
 	for i := 0; i < n; i++ {
 		if rs[i] == '*' || ls[i] == '*' {
 			continue

@@ -51,16 +51,23 @@ func (d *Disjunct) String() string {
 
 // connNode is one cell of a persistent connector list. Node identity
 // (pointer) keys the parser's memoization table, so lists must be
-// interned: equal suffixes share cells.
+// interned: equal suffixes share cells. typ and sub split conn.Name for
+// matchNodes: typ is the interned id of the upper-case type, sub the
+// subscript after it.
 type connNode struct {
 	conn Connector
 	next *connNode
+	typ  int32
+	sub  string
 }
 
 // connInterner dedupes connector-list cells so that structurally equal
-// lists are pointer-equal, keeping the parser memo table small.
+// lists are pointer-equal, keeping the parser memo table small, and
+// numbers connector types so that matching compares ints, not names.
+// The owning Dictionary's mu guards it.
 type connInterner struct {
 	cells map[internKey]*connNode
+	types map[string]int32
 }
 
 type internKey struct {
@@ -69,7 +76,7 @@ type internKey struct {
 }
 
 func newConnInterner() *connInterner {
-	return &connInterner{cells: make(map[internKey]*connNode)}
+	return &connInterner{cells: make(map[internKey]*connNode), types: make(map[string]int32)}
 }
 
 // list interns the far-to-near linked list for connectors given in
@@ -82,12 +89,26 @@ func (in *connInterner) list(nearToFar []Connector) *connNode {
 		key := internKey{conn: c, next: head}
 		cell, ok := in.cells[key]
 		if !ok {
-			cell = &connNode{conn: c, next: head}
+			u := upperLen(c.Name)
+			typ, seen := in.types[c.Name[:u]]
+			if !seen {
+				typ = int32(len(in.types))
+				in.types[c.Name[:u]] = typ
+			}
+			cell = &connNode{conn: c, next: head, typ: typ, sub: c.Name[u:]}
 			in.cells[key] = cell
 		}
 		head = cell
 	}
 	return head
+}
+
+// matchNodes is Match for two interned cells, the parser's inner-loop
+// test: the upper-case types compare as interned ids, then the
+// subscripts as in Match.
+func matchNodes(r, l *connNode) bool {
+	return r.typ == l.typ && r.conn.Dir == DirRight && l.conn.Dir == DirLeft &&
+		subscriptsMatch(r.sub, l.sub)
 }
 
 // maxDisjunctsPerWord caps expression expansion so that a pathological

@@ -2,6 +2,7 @@ package linkgrammar
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -45,20 +46,22 @@ type Parser struct {
 	opts  Options
 	cache *parseCache // nil when Options.CacheSize <= 0
 
-	// scratch pools per-parse working state (cache-key buffer, disjunct
-	// table, memoization map) so the steady-state parse path — the same
-	// workload the cache stats describe — reuses its large containers
-	// instead of reallocating them per sentence. Pooled scratch never
-	// escapes: everything a Result or Linkage retains (words, tokens,
-	// links) is freshly allocated.
+	// scratch pools per-parse working state (cache-key buffer, Valid's
+	// words, disjunct table, memoization map) so the steady-state parse
+	// path — the same workload the cache stats describe — reuses its
+	// large containers instead of reallocating them per sentence. Pooled
+	// scratch never escapes: everything a Result or Linkage retains
+	// (words, tokens, links) is freshly allocated.
 	scratch   sync.Pool
 	countHint atomic.Int64 // running average of memo-map size, sizes fresh maps
 }
 
-// parseScratch is the pooled working state of one ParseTokens call.
+// parseScratch is the pooled working state of one ParseTokens or
+// Valid call.
 type parseScratch struct {
-	key []byte
-	st  parseState
+	key   []byte
+	words []string // Valid's words; ParseTokens allocates what it retains
+	st    parseState
 }
 
 // NewParser returns a parser over dict with the given options. Zero
@@ -97,6 +100,7 @@ func (p *Parser) releaseScratch(sc *parseScratch) {
 	for i := range sc.st.disjuncts {
 		sc.st.disjuncts[i] = nil
 	}
+	clear(sc.words)
 	sc.st.dict, sc.st.words = nil, nil
 	p.scratch.Put(sc)
 }
@@ -146,55 +150,19 @@ func (p *Parser) Parse(sentence string) (*Result, error) {
 // ParseTokens parses an already-tokenized sentence. The tokens should not
 // include LEFT-WALL; it is added internally.
 func (p *Parser) ParseTokens(tokens []string) (*Result, error) {
-	if len(tokens) == 0 {
-		return nil, fmt.Errorf("empty sentence")
-	}
-	if len(tokens) > p.opts.MaxTokens {
-		return nil, fmt.Errorf("sentence has %d tokens, limit is %d", len(tokens), p.opts.MaxTokens)
-	}
-
 	sc := p.scratch.Get().(*parseScratch)
 	defer p.releaseScratch(sc)
-
-	var gen uint64
-	if p.cache != nil {
-		sc.key = appendCacheKey(sc.key[:0], tokens)
-		gen = p.dict.Generation()
-		if res, ok := p.cache.getBytes(sc.key, gen); ok {
-			return res, nil
-		}
+	res, gen, err := p.prepare(sc, tokens, true)
+	if res != nil || err != nil {
+		return res, err
 	}
-
-	// words is retained by every Linkage (and res.Tokens aliases it), so
-	// it is allocated fresh; the caller's tokens slice is copied here and
-	// never retained, which keeps pooled token slices safe to reuse.
-	words := make([]string, len(tokens)+1)
-	words[0] = LeftWall
-	copy(words[1:], tokens)
-
-	res := &Result{Tokens: words[1:]}
-	if cap(sc.st.disjuncts) < len(words) {
-		sc.st.disjuncts = make([][]*Disjunct, len(words))
-	}
-	if sc.st.counts == nil {
-		sc.st.counts = make(map[countKey]int64, p.countHint.Load())
-	}
-	sc.st.dict = p.dict
-	sc.st.words = words
-	sc.st.disjuncts = sc.st.disjuncts[:len(words)]
 	st := &sc.st
-	for i, w := range words {
-		ds, err := p.dict.Disjuncts(w)
-		if err != nil {
-			return nil, err
+	words := st.words
+	res = &Result{Tokens: words[1:]}
+	for i, w := range tokens {
+		if !p.dict.Has(w) {
+			res.UnknownWords = append(res.UnknownWords, i)
 		}
-		if !p.dict.Has(w) && i > 0 {
-			res.UnknownWords = append(res.UnknownWords, i-1)
-		}
-		st.disjuncts[i] = ds
-	}
-	if !p.opts.DisablePruning {
-		st.disjuncts = pruneDisjuncts(st.disjuncts)
 	}
 
 	maxNulls := p.opts.MaxNulls
@@ -226,6 +194,85 @@ func (p *Parser) ParseTokens(tokens []string) (*Result, error) {
 		p.cache.put(string(sc.key), res, gen)
 	}
 	return res, nil
+}
+
+// Valid reports whether tokens parse with no null word. It always
+// equals ParseTokens(tokens) returning a nil error and a Result whose
+// Valid is true, but does only what that answer needs, for the
+// Learning_Angel's repair probes (DESIGN.md D18). A cached Result
+// answers it; it never inserts into the cache. It counts at nulls = 0
+// only, and runs ParseTokens' bounded extraction only when that count
+// is non-zero, so the exclusion filter decides alike. A probe that
+// fails allocates nothing.
+func (p *Parser) Valid(tokens []string) bool {
+	sc := p.scratch.Get().(*parseScratch)
+	defer p.releaseScratch(sc)
+	res, _, err := p.prepare(sc, tokens, false)
+	if err != nil {
+		return false
+	}
+	if res != nil {
+		return res.Valid()
+	}
+	st := &sc.st
+	return st.countTotal(0) != 0 && len(st.extractTotal(0, p.opts.MaxLinkages)) > 0
+}
+
+// prepare is the prelude ParseTokens and Valid share. It rejects empty
+// and over-long inputs and returns the cached Result when the cache
+// holds tokens (with the key left in sc.key and the dictionary
+// generation it was read under). Otherwise it loads LEFT-WALL plus
+// tokens into sc.st.words with their pruned disjuncts, ready to count.
+// fresh allocates the words slice, which a Result retains (and
+// res.Tokens aliases); otherwise sc's pooled buffer holds it. Either
+// way the caller's tokens are copied and never retained, which keeps
+// pooled token slices safe to reuse.
+func (p *Parser) prepare(sc *parseScratch, tokens []string, fresh bool) (res *Result, gen uint64, err error) {
+	if len(tokens) == 0 {
+		return nil, 0, fmt.Errorf("empty sentence")
+	}
+	if len(tokens) > p.opts.MaxTokens {
+		return nil, 0, fmt.Errorf("sentence has %d tokens, limit is %d", len(tokens), p.opts.MaxTokens)
+	}
+	if p.cache != nil {
+		sc.key = appendCacheKey(sc.key[:0], tokens)
+		gen = p.dict.Generation()
+		if cached, ok := p.cache.getBytes(sc.key, gen); ok {
+			return cached, gen, nil
+		}
+	}
+
+	var words []string
+	if fresh {
+		words = make([]string, len(tokens)+1)
+	} else {
+		words = slices.Grow(sc.words[:0], len(tokens)+1)[:len(tokens)+1]
+		sc.words = words
+	}
+	words[0] = LeftWall
+	copy(words[1:], tokens)
+
+	if cap(sc.st.disjuncts) < len(words) {
+		sc.st.disjuncts = make([][]*Disjunct, len(words))
+	}
+	if sc.st.counts == nil {
+		sc.st.counts = make(map[countKey]int64, p.countHint.Load())
+	}
+	st := &sc.st
+	st.dict = p.dict
+	st.words = words
+	st.disjuncts = st.disjuncts[:len(words)]
+	for i, w := range words {
+		ds, err := p.dict.Disjuncts(w)
+		if err != nil {
+			return nil, gen, err
+		}
+		st.disjuncts[i] = ds
+	}
+	if !p.opts.DisablePruning {
+		st.disjuncts = pruneDisjuncts(st.disjuncts)
+	}
+	return nil, gen, nil
 }
 
 // parseState holds the memoized dynamic program for one sentence.
@@ -319,7 +366,7 @@ func (st *parseState) count(a, b int, la, lb *connNode, nulls int) int64 {
 		for w := a + 1; w < b; w++ {
 			for _, d := range st.disjuncts[w] {
 				dl := d.leftList
-				if dl == nil || !Match(la.conn, dl.conn) {
+				if dl == nil || !matchNodes(la, dl) {
 					continue
 				}
 				for _, v := range matchVariants(la, dl) {
@@ -334,7 +381,7 @@ func (st *parseState) count(a, b int, la, lb *connNode, nulls int) int64 {
 				}
 			}
 		}
-		if lb != nil && Match(la.conn, lb.conn) {
+		if lb != nil && matchNodes(la, lb) {
 			// Direct link a–b: both heads are the farthest connectors of
 			// their words within this region.
 			for _, v := range matchVariants(la, lb) {
@@ -345,7 +392,7 @@ func (st *parseState) count(a, b int, la, lb *connNode, nulls int) int64 {
 		for w := a + 1; w < b; w++ {
 			for _, d := range st.disjuncts[w] {
 				dr := d.rightList
-				if dr == nil || !Match(dr.conn, lb.conn) {
+				if dr == nil || !matchNodes(dr, lb) {
 					continue
 				}
 				for _, v := range matchVariants(dr, lb) {
@@ -495,7 +542,7 @@ func (st *parseState) extract(a, b int, la, lb *connNode, nulls, budget int) []p
 		for w := a + 1; w < b && len(out) < budget; w++ {
 			for _, d := range st.disjuncts[w] {
 				dl := d.leftList
-				if dl == nil || !Match(la.conn, dl.conn) {
+				if dl == nil || !matchNodes(la, dl) {
 					continue
 				}
 				link := Link{
@@ -521,7 +568,7 @@ func (st *parseState) extract(a, b int, la, lb *connNode, nulls, budget int) []p
 				}
 			}
 		}
-		if lb != nil && Match(la.conn, lb.conn) && len(out) < budget {
+		if lb != nil && matchNodes(la, lb) && len(out) < budget {
 			link := Link{
 				Left: a, Right: b,
 				Label: LinkLabel(la.conn, lb.conn),
@@ -544,7 +591,7 @@ func (st *parseState) extract(a, b int, la, lb *connNode, nulls, budget int) []p
 		for w := a + 1; w < b && len(out) < budget; w++ {
 			for _, d := range st.disjuncts[w] {
 				dr := d.rightList
-				if dr == nil || !Match(dr.conn, lb.conn) {
+				if dr == nil || !matchNodes(dr, lb) {
 					continue
 				}
 				link := Link{
