@@ -6,18 +6,19 @@
 // Usage:
 //
 //	chatserver -addr :7788
-//	chatserver -addr :7788 -data ./classdata           # persist corpus/FAQ/profiles
-//	chatserver -addr :7788 -data ./classdata -journal  # crash-safe write-ahead log
+//	chatserver -addr :7788 -data ./classdata           # crash-safe corpus/FAQ/profiles/ontology
 //	chatserver -addr :7788 -async                      # sidecar supervision
 //	chatserver -addr :7788 -async -shed oldest-drop    # overload-safe supervision
 //	chatserver -addr :7788 -metrics-addr :9090         # /metrics + /healthz
 //	chatserver -addr :7788 -nosupervise                # plain chat (E6 baseline)
 //
-// With -journal every learned fact (corpus record, profile event, FAQ
+// With -data every learned fact (corpus record, profile event, FAQ
 // pair, ontology mutation) is appended to an fsync'd write-ahead log in
 // the data directory and replayed over the last checkpoint at boot, so
 // a crash or kill loses at most the mutations after the last group
-// commit instead of the whole session.
+// commit. A clean shutdown takes a final checkpoint. Flag combinations
+// that would be silently ignored (journal tuning without -data, -data
+// or -async with -nosupervise, -shed without -async) exit with status 2.
 //
 // With -metrics-addr the server exposes the full instrumentation layer
 // (DESIGN.md D10) as Prometheus text at /metrics and a readiness probe
@@ -45,23 +46,22 @@ import (
 	"semagent/internal/journal"
 	"semagent/internal/metrics"
 	"semagent/internal/pipeline"
-	"semagent/internal/storage"
 )
 
 func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:7788", "listen address")
-		dataDir     = flag.String("data", "", "directory for persistent corpus/profiles/FAQ/ontology (empty = in-memory only)")
+		dataDir     = flag.String("data", "", "journaled directory for the corpus/profiles/FAQ/ontology: checkpoint + write-ahead log, recovered at boot (empty = in-memory only)")
 		async       = flag.Bool("async", false, "supervise off the broadcast path via the room-sharded worker pool")
 		workers     = flag.Int("workers", 0, "async supervision workers (0 = GOMAXPROCS)")
 		queue       = flag.Int("queue", 0, "async supervision queue per shard (0 = 256)")
 		noSupervise = flag.Bool("nosupervise", false, "disable the agents (plain chat room)")
 		wire        = flag.String("wire", "binary", "wire formats accepted: binary (negotiate length-prefixed framing with willing clients) or text (newline-JSON only)")
 
-		useJournal  = flag.Bool("journal", false, "write-ahead journal in the data dir: crash recovery for the knowledge stores (requires -data)")
-		journalSync = flag.Bool("journal-sync", false, "fsync the journal on every record instead of batched group commit")
-		ckptEvery   = flag.Duration("checkpoint-interval", 5*time.Minute, "journal checkpoint interval (0 disables the time trigger)")
-		ckptBytes   = flag.Int64("checkpoint-bytes", 4<<20, "journal checkpoint size threshold in bytes (0 disables the size trigger)")
+		_           = flag.Bool("journal", false, "deprecated: -data always journals (requires -data)")
+		journalSync = flag.Bool("journal-sync", false, "fsync the journal on every record instead of batched group commit (requires -data)")
+		ckptEvery   = flag.Duration("checkpoint-interval", 5*time.Minute, "journal checkpoint interval (0 disables the time trigger; requires -data)")
+		ckptBytes   = flag.Int64("checkpoint-bytes", 4<<20, "journal checkpoint size threshold in bytes (0 disables the size trigger; requires -data)")
 
 		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus /metrics and /healthz on this address (empty = off)")
 		shed        = flag.String("shed", "none", "supervision admission control: none (block), reject-new, or oldest-drop (requires -async)")
@@ -82,10 +82,15 @@ func main() {
 	cfg := serverConfig{
 		addr: *addr, dataDir: *dataDir, async: *async, noSupervise: *noSupervise,
 		workers: *workers, queue: *queue, textOnly: *wire == "text",
-		journal: *useJournal, journalSync: *journalSync,
-		ckptEvery: *ckptEvery, ckptBytes: *ckptBytes,
+		journalSync: *journalSync, ckptEvery: *ckptEvery, ckptBytes: *ckptBytes,
 		metricsAddr: *metricsAddr, shedPolicy: policy,
 		roomQueue: *roomQueue, inflightCap: *inflightCap, opsEvery: *opsEvery,
+		set: make(map[string]bool),
+	}
+	flag.Visit(func(f *flag.Flag) { cfg.set[f.Name] = true })
+	if err := cfg.validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "chatserver:", err)
+		os.Exit(2)
 	}
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "chatserver:", err)
@@ -94,19 +99,49 @@ func main() {
 }
 
 type serverConfig struct {
-	addr, dataDir        string
-	async, noSupervise   bool
-	textOnly             bool
-	workers, queue       int
-	journal, journalSync bool
-	ckptEvery            time.Duration
-	ckptBytes            int64
+	addr, dataDir      string
+	async, noSupervise bool
+	textOnly           bool
+	workers, queue     int
+	journalSync        bool
+	ckptEvery          time.Duration
+	ckptBytes          int64
 
 	metricsAddr string
 	shedPolicy  pipeline.ShedPolicy
 	roomQueue   int
 	inflightCap int
 	opsEvery    time.Duration
+
+	// set names the flags given on the command line, so a journal
+	// tuning flag given without -data is refused rather than ignored.
+	set map[string]bool
+}
+
+// validate refuses flag combinations whose effect would be silently
+// dropped: journal tuning without a data directory, and persistence or
+// async supervision with the agents off.
+func (c serverConfig) validate() error {
+	if c.dataDir == "" {
+		for _, name := range []string{"journal", "journal-sync", "checkpoint-interval", "checkpoint-bytes"} {
+			if c.set[name] {
+				return fmt.Errorf("-%s requires -data", name)
+			}
+		}
+	}
+	if c.noSupervise && c.dataDir != "" {
+		// The journal records supervisor learning; with supervision off
+		// there is nothing to persist, and accepting -data would let an
+		// operator believe the classroom's knowledge is being kept.
+		return fmt.Errorf("-data requires supervision (drop -nosupervise)")
+	}
+	if c.noSupervise && c.async {
+		return fmt.Errorf("-async requires supervision (drop -nosupervise)")
+	}
+	if c.shedPolicy != pipeline.ShedNone && !c.async {
+		return fmt.Errorf("-shed requires -async")
+	}
+	return nil
 }
 
 func run(c serverConfig) error {
@@ -118,25 +153,11 @@ func run(c serverConfig) error {
 		Metrics: reg, DisableBinaryWire: c.textOnly,
 	}
 
-	if c.journal && c.dataDir == "" {
-		return fmt.Errorf("-journal requires -data")
-	}
-	if c.shedPolicy != pipeline.ShedNone && (!c.async || c.noSupervise) {
-		return fmt.Errorf("-shed requires async supervision (-async without -nosupervise)")
-	}
-	if c.journal && c.noSupervise {
-		// The journal records supervisor learning; with supervision off
-		// there is nothing to journal, and pretending otherwise would
-		// let an operator believe crash-safety is on.
-		return fmt.Errorf("-journal requires supervision (drop -nosupervise)")
-	}
-
 	var sup *core.Supervisor
 	var mgr *journal.Manager
 	if !c.noSupervise {
-		cfg := core.Config{}
-		switch {
-		case c.journal:
+		cfg := core.Config{Metrics: reg}
+		if c.dataDir != "" {
 			// Crash recovery: load the last checkpoint, replay the
 			// write-ahead log over it, then journal every new mutation.
 			stores, err := journal.LoadStores(c.dataDir)
@@ -161,18 +182,7 @@ func run(c serverConfig) error {
 			cfg.Corpus = stores.Corpus
 			cfg.Profiles = stores.Profiles
 			cfg.FAQ = stores.FAQ
-		case c.dataDir != "":
-			snap, err := storage.Load(c.dataDir)
-			if err != nil {
-				return fmt.Errorf("load data dir: %w", err)
-			}
-			cfg.Ontology = snap.Ontology
-			cfg.Corpus = snap.Corpus
-			cfg.Profiles = snap.Profiles
-			cfg.FAQ = snap.FAQ
-			logger.Printf("data dir %s loaded", c.dataDir)
 		}
-		cfg.Metrics = reg
 		var err error
 		sup, err = core.New(cfg)
 		if err != nil {
@@ -264,29 +274,16 @@ func run(c serverConfig) error {
 				cs.Size, cs.Capacity, cs.HitRate()*100, cs.Evictions, cs.Invalidations)
 		}
 		logger.Printf("session summary:\n%s", sup.Analyzer().Report())
-		switch {
-		case mgr != nil:
-			// Final checkpoint + journal seal: the next boot loads the
-			// snapshot and finds an empty log.
-			st := mgr.Stats()
-			if err := mgr.Close(); err != nil {
-				logger.Printf("close journal: %v", err)
-			} else {
-				logger.Printf("journal: sealed at lsn %d (%d records, %d fsyncs, %d checkpoints)",
-					st.LastLSN, st.Records, st.Fsyncs, st.Checkpoints+1)
-			}
-		case c.dataDir != "":
-			err := storage.Save(c.dataDir, storage.Snapshot{
-				Ontology: sup.Ontology(),
-				Corpus:   sup.Corpus(),
-				Profiles: sup.Profiles(),
-				FAQ:      sup.FAQ(),
-			})
-			if err != nil {
-				logger.Printf("save data dir: %v", err)
-			} else {
-				logger.Printf("data dir %s saved", c.dataDir)
-			}
+	}
+	if mgr != nil {
+		// Final checkpoint + journal seal: the next boot loads the
+		// snapshot and finds an empty log.
+		st := mgr.Stats()
+		if err := mgr.Close(); err != nil {
+			logger.Printf("close journal: %v", err)
+		} else {
+			logger.Printf("journal: sealed at lsn %d (%d records, %d fsyncs, %d checkpoints)",
+				st.LastLSN, st.Records, st.Fsyncs, st.Checkpoints+1)
 		}
 	}
 	return closeErr

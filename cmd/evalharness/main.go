@@ -406,23 +406,16 @@ func runE10(p params) error {
 	if err != nil {
 		return err
 	}
-	header("E10 lock-free snapshot read path vs locked ontology (D8)")
+	header("E10 lock-free snapshot read path (D8)")
 	fmt.Printf("snapshot v%d: %d items, %d relations, %d table entries (radius %d), max phrase %d\n",
 		res.Snapshot.Version, res.Snapshot.Items, res.Snapshot.Relations,
 		res.Snapshot.TableEntries, res.Snapshot.TableRadius, res.Snapshot.MaxPhraseLen)
-	fmt.Println("path      workers   queries  ns/query   queries/s")
+	fmt.Println("workers   queries  ns/query   queries/s")
 	for _, arm := range res.Arms {
-		fmt.Printf("%-9s %7d  %8d  %8.1f  %10.0f\n",
-			arm.Path, arm.Workers, arm.Queries, arm.NsPerQuery, arm.QueriesPerSec)
+		fmt.Printf("%7d  %8d  %8.1f  %10.0f\n",
+			arm.Workers, arm.Queries, arm.NsPerQuery, arm.QueriesPerSec)
 	}
-	workers := make([]int, 0, len(res.Speedup))
-	for w := range res.Speedup {
-		workers = append(workers, w)
-	}
-	sort.Ints(workers)
-	for _, w := range workers {
-		fmt.Printf("speedup at %2d workers: %.1fx\n", w, res.Speedup[w])
-	}
+	fmt.Println("(the locked-ontology baseline arm is frozen in DESIGN.md §E10)")
 	return nil
 }
 

@@ -34,7 +34,7 @@ import (
 
 func main() {
 	xmlPath := flag.String("xml", "", "load ontology from this XML file instead of the built-in course ontology")
-	dataDir := flag.String("data", "", "recover the ontology from this journaled data directory (see chatserver -journal); mutations are journaled and checkpointed")
+	dataDir := flag.String("data", "", "recover the ontology from this journaled data directory (the same as chatserver -data); mutations are journaled and checkpointed")
 	flag.Parse()
 	if err := run(*xmlPath, *dataDir, flag.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, "ontologyctl:", err)

@@ -6,20 +6,47 @@ import (
 	"time"
 
 	"semagent/internal/chat"
-	"semagent/internal/storage"
+	"semagent/internal/journal"
 	"semagent/internal/workload"
 )
 
-// TestSessionPersistenceContinuity runs a supervised classroom session,
-// persists every database, restarts the supervisor from disk and checks
-// that the accumulated knowledge (FAQ answers, corpus suggestions,
-// learner profiles) carries over — the paper's always-online agents
-// surviving a service restart.
+// openJournaled boots a supervisor over the journaled data directory
+// dir, the way chatserver -data does: checkpoint load, WAL replay, then
+// every new mutation journaled.
+func openJournaled(t *testing.T, dir string) (*Supervisor, *journal.Manager) {
+	t.Helper()
+	stores, err := journal.LoadStores(dir)
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	mgr, err := journal.Open(dir, stores, journal.Options{})
+	if err != nil {
+		t.Fatalf("open journal: %v", err)
+	}
+	s, err := New(Config{
+		Ontology: stores.Ontology,
+		Corpus:   stores.Corpus,
+		Profiles: stores.Profiles,
+		FAQ:      stores.FAQ,
+	})
+	if err != nil {
+		t.Fatalf("build supervisor: %v", err)
+	}
+	return s, mgr
+}
+
+// TestSessionPersistenceContinuity runs a supervised classroom session
+// over a journaled data directory, restarts the supervisor from disk and
+// checks that the accumulated knowledge (FAQ answers, corpus
+// suggestions, learner profiles) carries over — the paper's
+// always-online agents surviving a service restart. Session 1 ends in a
+// crash, with no final checkpoint, so session 2 rebuilds from the
+// replayed write-ahead log.
 func TestSessionPersistenceContinuity(t *testing.T) {
 	dir := t.TempDir()
 
 	// ---- session 1 -------------------------------------------------
-	s1 := newSupervisor(t)
+	s1, m1 := openJournaled(t, dir)
 	gen := workload.NewGenerator(99, s1.Ontology())
 	for _, msg := range gen.Session(2, 3, 120) {
 		if _, err := s1.Process(msg.Room, msg.User, msg.Sample.Text); err != nil {
@@ -33,29 +60,16 @@ func TestSessionPersistenceContinuity(t *testing.T) {
 	if s1.Corpus().Len() == 0 || s1.FAQ().Len() == 0 {
 		t.Fatalf("session 1 accumulated nothing: corpus=%d faq=%d", s1.Corpus().Len(), s1.FAQ().Len())
 	}
-	err := storage.Save(dir, storage.Snapshot{
-		Ontology: s1.Ontology(),
-		Corpus:   s1.Corpus(),
-		Profiles: s1.Profiles(),
-		FAQ:      s1.FAQ(),
-	})
-	if err != nil {
-		t.Fatalf("save: %v", err)
+	if err := m1.Sync(); err != nil {
+		t.Fatalf("sync: %v", err)
 	}
+	m1.Abandon()
 
 	// ---- session 2 (restart) ----------------------------------------
-	snap, err := storage.Load(dir)
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	s2, err := New(Config{
-		Ontology: snap.Ontology,
-		Corpus:   snap.Corpus,
-		Profiles: snap.Profiles,
-		FAQ:      snap.FAQ,
-	})
-	if err != nil {
-		t.Fatalf("rebuild: %v", err)
+	s2, m2 := openJournaled(t, dir)
+	defer m2.Close()
+	if m2.Stats().Replay.Applied == 0 {
+		t.Error("restart replayed no journal records")
 	}
 	if s2.Corpus().Len() != s1.Corpus().Len() {
 		t.Errorf("corpus lost: %d -> %d", s1.Corpus().Len(), s2.Corpus().Len())

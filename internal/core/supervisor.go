@@ -68,8 +68,10 @@ type Config struct {
 	Now func() time.Time
 	// Metrics, if set, registers per-stage latency histograms
 	// (semagent_stage_seconds{stage=angel|semantic|qa}), the whole-
-	// pipeline semagent_process_seconds, and per-verdict message
-	// counters. Nil runs the hot path uninstrumented at zero cost.
+	// pipeline semagent_process_seconds, per-verdict message counters
+	// and semagent_supervision_errors_total (chat lines whose
+	// supervision failed). Nil runs the hot path uninstrumented at zero
+	// cost.
 	Metrics *metrics.Registry
 }
 
@@ -78,6 +80,7 @@ type supMetrics struct {
 	process                  *metrics.Histogram
 	angel, semantic, qaStage *metrics.Histogram
 	verdicts                 map[corpus.Verdict]*metrics.Counter
+	errors                   *metrics.Counter
 }
 
 func newSupMetrics(r *metrics.Registry) *supMetrics {
@@ -90,6 +93,7 @@ func newSupMetrics(r *metrics.Registry) *supMetrics {
 		semantic: r.DurationHistogram("semagent_stage_seconds", "supervision stage latency", metrics.L("stage", "semantic")),
 		qaStage:  r.DurationHistogram("semagent_stage_seconds", "supervision stage latency", metrics.L("stage", "qa")),
 		verdicts: make(map[corpus.Verdict]*metrics.Counter),
+		errors:   r.Counter("semagent_supervision_errors_total", "chat lines whose supervision failed (e.g. over MaxTokens) and drew no verdict"),
 	}
 	for _, v := range []corpus.Verdict{
 		corpus.VerdictCorrect, corpus.VerdictSyntaxError,
@@ -444,8 +448,9 @@ func (s *Supervisor) Recommend(user string, limit int) []recommend.Recommendatio
 }
 
 // ChatSupervisor adapts the Supervisor to the chat.Supervisor interface;
-// pipeline errors turn into (rare) silent skips rather than crashing the
-// chat room.
+// a pipeline error (e.g. a line over the parser's token limit) draws no
+// agent reply rather than crashing the chat room, and is counted in
+// semagent_supervision_errors_total when Config.Metrics is set.
 func (s *Supervisor) ChatSupervisor() chat.Supervisor {
 	return chatAdapter{s}
 }
@@ -458,6 +463,9 @@ func (ad chatAdapter) Process(room, user, text string) []chat.Response {
 	}
 	a, err := ad.s.Process(room, user, text)
 	if err != nil {
+		if ad.s.met != nil {
+			ad.s.met.errors.Inc()
+		}
 		return nil
 	}
 	return a.Responses

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"semagent/internal/corpus"
+	"semagent/internal/linkgrammar"
+	"semagent/internal/metrics"
 	"semagent/internal/semantic"
 )
 
@@ -228,5 +230,36 @@ func TestSupervisorParserIsFaultTolerant(t *testing.T) {
 	}
 	if !a.Syntax.Parsed || len(a.Syntax.NullTokens) == 0 {
 		t.Errorf("error not localized: parsed=%v nulls=%v", a.Syntax.Parsed, a.Syntax.NullTokens)
+	}
+}
+
+// TestChatSupervisorCountsErroredSupervision: a chat line the pipeline
+// refuses (41 tokens, over the parser's limit of 40) draws no agent
+// reply, and the failure is counted instead of vanishing.
+func TestChatSupervisorCountsErroredSupervision(t *testing.T) {
+	reg := metrics.NewRegistry()
+	s, err := New(Config{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := strings.Repeat("the stack ", 20) + "pops"
+	if n := len(linkgrammar.Tokenize(line)); n != 41 {
+		t.Fatalf("line has %d tokens, want 41", n)
+	}
+	if _, err := s.Process("room", "alice", line); err == nil || !strings.Contains(err.Error(), "41 tokens") {
+		t.Fatalf("Process error = %v, want the token-limit error", err)
+	}
+	if resp := s.ChatSupervisor().Process("room", "alice", line); resp != nil {
+		t.Errorf("responses = %+v, want nil", resp)
+	}
+	errs := reg.Counter("semagent_supervision_errors_total", "")
+	if got := errs.Value(); got != 1 {
+		t.Errorf("semagent_supervision_errors_total = %d, want 1", got)
+	}
+	if resp := s.ChatSupervisor().Process("room", "alice", "the stack has the push operation"); len(resp) != 0 {
+		t.Errorf("correct line drew responses %+v", resp)
+	}
+	if got := errs.Value(); got != 1 {
+		t.Errorf("semagent_supervision_errors_total = %d after a correct line, want 1", got)
 	}
 }

@@ -13,7 +13,6 @@ import (
 
 	"semagent/internal/clock"
 	"semagent/internal/metrics"
-	"semagent/internal/storage"
 )
 
 // journalMetrics are the write-ahead log's hot-path instruments (nil
@@ -121,7 +120,7 @@ func openAppender(dir string, seq, startLSN uint64, syncEvery bool, met *journal
 		return nil, fmt.Errorf("journal: open segment: %w", err)
 	}
 	if create {
-		if err := storage.SyncDir(dir); err != nil {
+		if err := syncDir(dir); err != nil {
 			_ = f.Close()
 			return nil, fmt.Errorf("journal: sync dir: %w", err)
 		}
@@ -254,7 +253,7 @@ func (a *appender) Rotate() (sealed uint64, err error) {
 		a.fail(err)
 		return 0, fmt.Errorf("journal: rotate: %w", err)
 	}
-	if err := storage.SyncDir(a.dir); err != nil {
+	if err := syncDir(a.dir); err != nil {
 		_ = f.Close()
 		a.fail(err)
 		return 0, fmt.Errorf("journal: rotate sync dir: %w", err)
@@ -278,6 +277,14 @@ func (a *appender) LastLSN() uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.lsn
+}
+
+// SyncedLSN is the durability watermark: the highest LSN covered by a
+// successful fsync.
+func (a *appender) SyncedLSN() uint64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.synced
 }
 
 // Err returns the first append/flush error, if any (degraded journal).

@@ -2,8 +2,8 @@
 // fsync'd write-ahead log of knowledge mutations (learner-corpus
 // records, user-profile events, FAQ pairs and ontology teach/author
 // operations), replayed over the last checkpoint at boot, plus a
-// background checkpointer that snapshots the four stores via
-// storage.Save and truncates the log.
+// background checkpointer that snapshots the four stores into their
+// checkpoint files and truncates the log.
 //
 // The paper's premise is an agent that stays online and keeps learning
 // from dialogue; before this package every learned fact lived only in
@@ -12,11 +12,13 @@
 // fsync'd journal record, and a checkpointed mutation is never applied
 // twice (see DESIGN.md D9 for the recovery invariant).
 //
-// Layout inside the data directory (next to the storage files):
+// Layout inside the data directory:
 //
 //	journal.00000001.wal    sealed/active log segments, JSONL records
-//	ontology.xml ...        checkpoint files written by storage.Save,
-//	                        each embedding the WAL position it covers
+//	ontology.xml            checkpoint files (checkpoint.go), each
+//	corpus.jsonl            embedding the WAL position it covers
+//	profiles.json
+//	faq.jsonl
 //
 // Each log record is one line:
 //

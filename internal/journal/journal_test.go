@@ -10,7 +10,6 @@ import (
 	"semagent/internal/clock"
 	"semagent/internal/corpus"
 	"semagent/internal/ontology"
-	"semagent/internal/storage"
 )
 
 // noAutoOpts disables every background trigger so tests control flush
@@ -215,10 +214,7 @@ func TestKillBetweenCheckpointAndTruncateNeverDoubleApplies(t *testing.T) {
 	// Simulate a checkpoint whose segment deletion never happened (the
 	// process died in between): the snapshot files land on disk with
 	// their embedded LSNs, the journal still holds every record.
-	err := storage.Save(dir, storage.Snapshot{
-		Ontology: s1.Ontology, Corpus: s1.Corpus, Profiles: s1.Profiles, FAQ: s1.FAQ,
-	})
-	if err != nil {
+	if err := saveCheckpoint(dir, s1); err != nil {
 		t.Fatal(err)
 	}
 

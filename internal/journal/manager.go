@@ -14,7 +14,6 @@ import (
 	"semagent/internal/ontology"
 	"semagent/internal/profile"
 	"semagent/internal/qa"
-	"semagent/internal/storage"
 )
 
 // Stores are the four knowledge databases the journal makes durable.
@@ -25,35 +24,6 @@ type Stores struct {
 	Corpus   *corpus.Store
 	Profiles *profile.Store
 	FAQ      *qa.FAQ
-}
-
-// LoadStores loads the storage snapshot in dir (embedded journal LSNs
-// included) and fills absent stores with the supervisor's defaults: the
-// built-in course ontology and empty corpus/profiles/FAQ.
-func LoadStores(dir string) (Stores, error) {
-	snap, err := storage.Load(dir)
-	if err != nil {
-		return Stores{}, err
-	}
-	s := Stores{
-		Ontology: snap.Ontology,
-		Corpus:   snap.Corpus,
-		Profiles: snap.Profiles,
-		FAQ:      snap.FAQ,
-	}
-	if s.Ontology == nil {
-		s.Ontology = ontology.BuildCourseOntology()
-	}
-	if s.Corpus == nil {
-		s.Corpus = corpus.NewStore()
-	}
-	if s.Profiles == nil {
-		s.Profiles = profile.NewStore()
-	}
-	if s.FAQ == nil {
-		s.FAQ = qa.NewFAQ()
-	}
-	return s, nil
 }
 
 // Options tunes the durability/latency trade-off.
@@ -209,6 +179,8 @@ func Open(dir string, stores Stores, opts Options) (*Manager, error) {
 	if opts.Metrics != nil {
 		opts.Metrics.GaugeFunc("semagent_journal_last_lsn", "last assigned WAL sequence number",
 			func() int64 { return int64(ap.LastLSN()) })
+		opts.Metrics.GaugeFunc("semagent_journal_synced_lsn", "durability watermark: highest WAL sequence number covered by an fsync",
+			func() int64 { return int64(ap.SyncedLSN()) })
 	}
 
 	// Recovery is complete: every store now reflects all mutations up
@@ -318,7 +290,7 @@ func (m *Manager) shouldCheckpoint() bool {
 }
 
 // Checkpoint seals the active journal segment, snapshots the four
-// stores via storage.Save (fsync'd atomic writes, each file embedding
+// stores via saveCheckpoint (fsync'd atomic writes, each file embedding
 // the WAL position its store had at serialization), and deletes the
 // sealed segments.
 //
@@ -329,7 +301,7 @@ func (m *Manager) shouldCheckpoint() bool {
 // snapshot land in the new active segment; whether or not a given store
 // file already includes one, that file's embedded LSN says so exactly,
 // and replay skips records at or below it — a checkpointed mutation is
-// never applied twice. A crash between storage.Save and segment
+// never applied twice. A crash between saveCheckpoint and segment
 // deletion just leaves sealed segments behind; the same LSN gate
 // ignores them on the next boot.
 func (m *Manager) Checkpoint() error {
@@ -339,13 +311,7 @@ func (m *Manager) Checkpoint() error {
 	if err != nil {
 		return fmt.Errorf("journal: rotate: %w", err)
 	}
-	err = storage.Save(m.dir, storage.Snapshot{
-		Ontology: m.stores.Ontology,
-		Corpus:   m.stores.Corpus,
-		Profiles: m.stores.Profiles,
-		FAQ:      m.stores.FAQ,
-	})
-	if err != nil {
+	if err := saveCheckpoint(m.dir, m.stores); err != nil {
 		// Keep the sealed segments: the snapshot is suspect, the log is
 		// still the source of truth.
 		return fmt.Errorf("journal: checkpoint save: %w", err)
@@ -361,7 +327,7 @@ func (m *Manager) Checkpoint() error {
 			}
 		}
 	}
-	if err := storage.SyncDir(m.dir); err != nil {
+	if err := syncDir(m.dir); err != nil {
 		return fmt.Errorf("journal: checkpoint sync dir: %w", err)
 	}
 	m.checkpoints++

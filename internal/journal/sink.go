@@ -9,8 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-
-	"semagent/internal/storage"
 )
 
 // ErrSinkFenced is returned by Sink.Apply when the shipper's epoch is
@@ -73,7 +71,7 @@ func OpenSink(dir string) (*Sink, error) {
 		return nil, fmt.Errorf("journal: sink open: %w", err)
 	}
 	if len(seqs) == 0 {
-		if err := storage.SyncDir(dir); err != nil {
+		if err := syncDir(dir); err != nil {
 			_ = f.Close()
 			return nil, fmt.Errorf("journal: sink sync dir: %w", err)
 		}
@@ -182,7 +180,7 @@ func (s *Sink) rotateLocked() error {
 	if err != nil {
 		return fmt.Errorf("journal: sink rotate: %w", err)
 	}
-	if err := storage.SyncDir(s.dir); err != nil {
+	if err := syncDir(s.dir); err != nil {
 		_ = f.Close()
 		return fmt.Errorf("journal: sink rotate sync dir: %w", err)
 	}

@@ -9,8 +9,9 @@ import (
 // over the live maps, a map-allocating Dijkstra per distance query, and
 // an ExtractTerms that rescans every name to find the longest phrase.
 // The production read path compiles an immutable Snapshot instead
-// (DESIGN.md D8); this adapter is retained only as the measured baseline
-// arm of experiment E10, so the refactor's win stays reproducible.
+// (DESIGN.md D8); this adapter survives only as the parity oracle the
+// snapshot tests compare against. Its E10 throughput is frozen in
+// DESIGN.md §E10.
 type LockedReadPath struct {
 	o *Ontology
 }
@@ -110,6 +111,19 @@ func (p LockedReadPath) ExtractTerms(tokens []string) []TermMatch {
 		}
 	}
 	return out
+}
+
+func (o *Ontology) lookupFoldedLocked(name string) (*Item, bool) {
+	key := Normalize(name)
+	if id, ok := o.byName[key]; ok {
+		return o.items[id], true
+	}
+	for _, folded := range pluralFolds(key) {
+		if id, ok := o.byName[folded]; ok {
+			return o.items[id], true
+		}
+	}
+	return nil, false
 }
 
 type prevEdge struct {

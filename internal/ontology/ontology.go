@@ -588,19 +588,6 @@ func (o *Ontology) Lookup(name string) (*Item, bool) {
 	return o.Snapshot().Lookup(name)
 }
 
-func (o *Ontology) lookupFoldedLocked(name string) (*Item, bool) {
-	key := Normalize(name)
-	if id, ok := o.byName[key]; ok {
-		return o.items[id], true
-	}
-	for _, folded := range pluralFolds(key) {
-		if id, ok := o.byName[folded]; ok {
-			return o.items[id], true
-		}
-	}
-	return nil, false
-}
-
 // pluralFolds returns candidate base spellings for inflected forms:
 // plurals ("stacks" -> "stack"), past participles ("pushed" -> "push")
 // and gerunds ("inserting" -> "insert"), so the Semantic Keywords
