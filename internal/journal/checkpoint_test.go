@@ -135,6 +135,35 @@ func TestCheckpointOverwritesInPlace(t *testing.T) {
 	}
 }
 
+// TestCheckpointAtomicWriteSurvivesExistingFile: rewriting unchanged
+// stores over an existing checkpoint replaces every file in place,
+// leaves no temp files and reloads the same records.
+func TestCheckpointAtomicWriteSurvivesExistingFile(t *testing.T) {
+	dir := t.TempDir()
+	s := buildStores()
+	for i := 0; i < 2; i++ {
+		if err := saveCheckpoint(dir, s); err != nil {
+			t.Fatalf("save %d: %v", i, err)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), ".tmp") {
+			t.Errorf("temp file left behind: %s", e.Name())
+		}
+	}
+	back, err := LoadStores(dir)
+	if err != nil {
+		t.Fatalf("load after rewrite: %v", err)
+	}
+	if back.Corpus.Len() != s.Corpus.Len() {
+		t.Errorf("corpus len = %d after rewrite, want %d", back.Corpus.Len(), s.Corpus.Len())
+	}
+}
+
 func TestCheckpointPreservesJournalLSNs(t *testing.T) {
 	dir := t.TempDir()
 	s := buildStores()
