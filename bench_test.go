@@ -296,7 +296,7 @@ func BenchmarkE9ShardedSupervision(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if arm.sharded {
-					pipe := pipeline.New(pipeline.Config{Block: true})
+					pipe := pipeline.New(pipeline.Config{})
 					for _, m := range msgs {
 						m := m
 						if err := pipe.Submit(m.Room, func() {
@@ -516,7 +516,7 @@ func BenchmarkE11JournaledSupervision(b *testing.B) {
 			errCh := make(chan error, 1)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pipe := pipeline.New(pipeline.Config{Block: true})
+				pipe := pipeline.New(pipeline.Config{})
 				for _, m := range msgs {
 					m := m
 					if err := pipe.Submit(m.Room, func() {

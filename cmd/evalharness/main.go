@@ -1,8 +1,8 @@
 // Command evalharness regenerates the evaluation of DESIGN.md §4: one
 // experiment per paper figure (E1–E8) plus the scale experiments E9
 // (concurrent rooms through the sharded supervision pipeline, cached
-// vs uncached parses), E10 (lock-free snapshot read path vs the legacy
-// locked ontology), E11 (write-ahead journaling overhead and crash
+// vs uncached parses), E10 (the lock-free snapshot read path at 1, 4
+// and 16 workers), E11 (write-ahead journaling overhead and crash
 // recovery), E12 (open-loop overload with admission-control shedding),
 // E13 (deterministic scenario-matrix simulation scoring per-persona
 // detection precision/recall), E14 (population-scale chaos sweep:

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"semagent/internal/clock"
 	"semagent/internal/metrics"
 )
 
@@ -70,6 +71,13 @@ func TestAsyncPipelineOrdering(t *testing.T) {
 	if !ok {
 		t.Fatal("async server should expose pipeline stats")
 	}
+	// A task counts as completed only after it has run, and running it
+	// delivers the response the loop above waited for: the last
+	// completion may still be in flight.
+	clock.Until(5*time.Second, func() bool {
+		st, _ = s.SupervisionStats()
+		return st.Completed == msgs
+	})
 	if st.Submitted != msgs || st.Completed != msgs {
 		t.Errorf("stats = %+v, want %d submitted and completed", st, msgs)
 	}

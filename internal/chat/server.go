@@ -194,7 +194,6 @@ func NewServer(opts ServerOptions) *Server {
 			// Without admission control a full shard blocks the
 			// submitting room (backpressure); with it, Submit sheds
 			// instead and the chat layer counts what went unsupervised.
-			Block:           true,
 			Policy:          opts.ShedPolicy,
 			RoomHighWater:   opts.RoomHighWater,
 			GlobalHighWater: opts.GlobalHighWater,

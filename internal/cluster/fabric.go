@@ -60,7 +60,35 @@ type FabricConfig struct {
 	// semagent_cluster_ship_stalled and
 	// semagent_cluster_ship_lag_records.
 	Metrics *metrics.Registry
+	// Fault, if set, is asked at every FaultPoint whether the fabric
+	// fails there: at ShipApply for the incarnation whose ship attempt
+	// is about to apply records to its standby, at a Stage* for the
+	// dead incarnation being promoted. A non-nil error fails that ship
+	// attempt like a real apply error (counted, surfaced by Health and
+	// ShipErrors, retried from the tail mark on the next OnSync) or
+	// interrupts Failover at that stage (ErrFailoverInterrupted; the
+	// next call resumes). nil in production; fault-injection harnesses
+	// keep their fault plan behind it.
+	Fault func(at FaultPoint, id NodeID) error
 }
+
+// FaultPoint names a place where the fabric consults
+// FabricConfig.Fault. The four failover stages bracket every durable
+// transition of a promotion, so a fault plan can kill the coordinator
+// between any two of them and the next Failover call must resume —
+// not redo, not wedge — the half-finished promotion.
+type FaultPoint int
+
+const (
+	StageFenced     FaultPoint = iota + 1 // sink fenced, not yet sealed
+	StageSealed                           // sink closed, successor not yet booted
+	StageRestarted                        // successor booted, no room moved yet
+	StageMidPromote                       // first room moved, the rest still on the dead owner
+	ShipApply                             // a ship attempt is about to apply records to the standby
+)
+
+// noFault is the production fault hook: nothing ever fails on purpose.
+func noFault(FaultPoint, NodeID) error { return nil }
 
 // nodeState is one live (or dead-awaiting-failover) incarnation.
 type nodeState struct {
@@ -79,11 +107,11 @@ type nodeState struct {
 	sink       *journal.Sink
 	shipEpoch  uint64
 	shipTarget uint64 // highest durable watermark seen; ships catch up to it
-	shipCut    bool   // asymmetric partition: ship stream severed
 	shipFails  int    // consecutive failed ship attempts since last success
 	shipErr    error  // last ship failure; nil again after a successful retry
 
-	failures *metrics.Counter // semagent_cluster_ship_failures_total (nil = unregistered)
+	failures *metrics.Counter               // semagent_cluster_ship_failures_total (nil = unregistered)
+	fault    func(FaultPoint, NodeID) error // FabricConfig.Fault, never nil
 
 	killedSynced uint64 // SyncedLSN captured at Kill time
 
@@ -142,13 +170,11 @@ type Fabric struct {
 
 	owners *OwnerMap
 
-	mu         sync.Mutex
-	nodes      map[NodeID]*nodeState    // live incarnations
-	bases      map[string]*nodeState    // lineage -> live incarnation (nil entry while dead)
-	dead       []*nodeState             // killed, awaiting Failover
-	epoch      uint64                   // ship-epoch counter across incarnations
-	skews      map[string]time.Duration // per-lineage clock offset for lease races
-	crashStage FailoverStage            // armed one-shot crash point inside Failover
+	mu    sync.Mutex
+	nodes map[NodeID]*nodeState // live incarnations
+	bases map[string]*nodeState // lineage -> live incarnation (nil entry while dead)
+	dead  []*nodeState          // killed, awaiting Failover
+	epoch uint64                // ship-epoch counter across incarnations
 
 	shipFailures *metrics.Counter
 }
@@ -162,6 +188,9 @@ func NewFabric(cfg FabricConfig) (*Fabric, error) {
 	if cfg.Start == nil {
 		return nil, fmt.Errorf("cluster: FabricConfig.Start is required")
 	}
+	if cfg.Fault == nil {
+		cfg.Fault = noFault
+	}
 	f := &Fabric{
 		cfg:   cfg,
 		clk:   clock.Or(cfg.Clock),
@@ -170,8 +199,8 @@ func NewFabric(cfg FabricConfig) (*Fabric, error) {
 	}
 	f.owners = NewOwnerMap(cfg.Lease, f.clk)
 	if cfg.Metrics != nil {
-		f.shipFailures = cfg.Metrics.Counter("semagent_cluster_ship_failures_total", "WAL ship attempts that failed (tail read or sink apply) and will retry")
-		cfg.Metrics.GaugeFunc("semagent_cluster_ship_stalled", "ship streams currently impaired (severed or erroring)", f.stalledStreams)
+		f.shipFailures = cfg.Metrics.Counter("semagent_cluster_ship_failures_total", "WAL ship attempts that failed (tail read, fault hook or sink apply) and will retry")
+		cfg.Metrics.GaugeFunc("semagent_cluster_ship_stalled", "ship streams whose last attempt failed", f.stalledStreams)
 		cfg.Metrics.GaugeFunc("semagent_cluster_ship_lag_records", "max standby replication lag in LSNs across live nodes", f.maxShipLag)
 	}
 	for i := 0; i < cfg.Nodes; i++ {
@@ -209,7 +238,7 @@ func (f *Fabric) provision(base string, gen int, dir string) (*nodeState, error)
 	ns := &nodeState{
 		base: base, gen: gen, id: id, dir: dir,
 		tail: journal.NewTailReader(dir), sink: sink, shipEpoch: f.epoch,
-		failures: f.shipFailures,
+		failures: f.shipFailures, fault: f.cfg.Fault,
 	}
 	handle, err := f.cfg.Start(id, dir, ns.ship)
 	if err != nil {
@@ -225,31 +254,24 @@ func (f *Fabric) provision(base string, gen int, dir string) (*nodeState, error)
 
 // ship streams every durable record up to synced into the standby.
 // Installed as the journal's OnSync hook, so replication lag is
-// exactly durability lag. A failed attempt (tail read or sink apply)
-// rewinds the tail cursor and retries from the last durable position
-// on the next call — one transient error must never kill the stream
-// for good (that bug shipped once; see DESIGN.md D16).
+// exactly durability lag. A failed attempt (tail read, fault hook or
+// sink apply) rewinds the tail cursor to its pre-read mark and retries
+// from the last durable position on the next call: the sink always
+// holds a contiguous LSN prefix of the primary's journal, and one
+// transient error never kills the stream for good (that bug shipped
+// once; see DESIGN.md D16).
 func (ns *nodeState) ship(synced uint64) {
 	ns.shipMu.Lock()
 	defer ns.shipMu.Unlock()
 	if synced > ns.shipTarget {
 		ns.shipTarget = synced
 	}
-	if ns.shipCut {
-		return // severed: remember the watermark, ship nothing
-	}
-	ns.shipLocked()
-}
-
-// shipLocked attempts one catch-up to shipTarget. Callers hold shipMu.
-// On any failure the tail cursor rewinds to its pre-read mark, so the
-// sink always holds a contiguous LSN prefix of the primary's journal —
-// a half-advanced cursor would turn the next success into a gap.
-func (ns *nodeState) shipLocked() {
 	mark := ns.tail.Mark()
 	recs, err := ns.tail.Next(ns.shipTarget)
 	if err == nil && len(recs) > 0 {
-		err = ns.sink.Apply(ns.shipEpoch, recs)
+		if err = ns.fault(ShipApply, ns.id); err == nil {
+			err = ns.sink.Apply(ns.shipEpoch, recs)
+		}
 	}
 	if err != nil {
 		ns.tail.Reset(mark)
@@ -264,63 +286,6 @@ func (ns *nodeState) shipLocked() {
 	ns.shipErr = nil
 }
 
-// CutShip severs a lineage's WAL ship stream: the node keeps serving
-// clients and fsync'ing its journal, but nothing reaches its standby
-// until HealShip. This is the asymmetric half of a partition —
-// Gateway.CutNode severs the client edge, CutShip severs the
-// replication edge — and it is how a kill with real standby lag is
-// staged.
-func (f *Fabric) CutShip(base string) error {
-	ns, err := f.liveIncarnation(base)
-	if err != nil {
-		return err
-	}
-	ns.shipMu.Lock()
-	ns.shipCut = true
-	ns.shipMu.Unlock()
-	return nil
-}
-
-// HealShip reconnects a severed ship stream (clearing any injected
-// sink fault too) and immediately ships everything that accumulated
-// while cut — the journal will not necessarily fsync again soon, so
-// waiting for the next OnSync could leave the standby lagging forever.
-func (f *Fabric) HealShip(base string) error {
-	ns, err := f.liveIncarnation(base)
-	if err != nil {
-		return err
-	}
-	ns.shipMu.Lock()
-	defer ns.shipMu.Unlock()
-	ns.shipCut = false
-	ns.sink.InjectFault(nil)
-	ns.shipLocked()
-	return ns.shipErr
-}
-
-// InjectSinkFault makes the lineage's standby reject every Apply with
-// err (nil clears). Unlike CutShip the shipper keeps trying, so the
-// failure is surfaced — counted, reported by Health — rather than
-// silently absorbed.
-func (f *Fabric) InjectSinkFault(base string, err error) error {
-	ns, lerr := f.liveIncarnation(base)
-	if lerr != nil {
-		return lerr
-	}
-	ns.sink.InjectFault(err)
-	return nil
-}
-
-func (f *Fabric) liveIncarnation(base string) (*nodeState, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	ns := f.bases[base]
-	if ns == nil {
-		return nil, fmt.Errorf("cluster: lineage %s has no live incarnation", base)
-	}
-	return ns, nil
-}
-
 // NodeHealth is one incarnation's replication health: how far its
 // standby lags behind its durability watermark, and whether the ship
 // stream is impaired. Operators see a lagging standby here *before*
@@ -332,11 +297,10 @@ type NodeHealth struct {
 	SyncedLSN uint64 `json:"synced_lsn"`
 	SinkLSN   uint64 `json:"sink_lsn"`
 	// Lag is SyncedLSN - SinkLSN: durable records the standby has not
-	// received. Nonzero lag with no ShipCut/ShipFailures/ShipErr is a
-	// silent stall — exactly what the ship-resumes-or-surfaces
-	// invariant forbids.
+	// received. Nonzero lag with no ShipFailures/ShipErr is a silent
+	// stall — exactly what the ship-resumes-or-surfaces invariant
+	// forbids.
 	Lag          uint64 `json:"lag"`
-	ShipCut      bool   `json:"ship_cut,omitempty"`
 	ShipFailures int    `json:"ship_failures,omitempty"`
 	ShipErr      string `json:"ship_err,omitempty"`
 }
@@ -369,7 +333,6 @@ func (f *Fabric) Health() []NodeHealth {
 			h.Lag = h.SyncedLSN - h.SinkLSN
 		}
 		ns.shipMu.Lock()
-		h.ShipCut = ns.shipCut
 		h.ShipFailures = ns.shipFails
 		if ns.shipErr != nil {
 			h.ShipErr = ns.shipErr.Error()
@@ -380,8 +343,8 @@ func (f *Fabric) Health() []NodeHealth {
 	return out
 }
 
-// stalledStreams counts live ship streams currently impaired (severed
-// or erroring) — the semagent_cluster_ship_stalled gauge.
+// stalledStreams counts live ship streams whose last attempt failed —
+// the semagent_cluster_ship_stalled gauge.
 func (f *Fabric) stalledStreams() int64 {
 	f.mu.Lock()
 	states := make([]*nodeState, 0, len(f.nodes))
@@ -392,7 +355,7 @@ func (f *Fabric) stalledStreams() int64 {
 	var n int64
 	for _, ns := range states {
 		ns.shipMu.Lock()
-		if ns.shipCut || ns.shipErr != nil {
+		if ns.shipErr != nil {
 			n++
 		}
 		ns.shipMu.Unlock()
@@ -531,41 +494,19 @@ func (f *Fabric) Kill(base string) error {
 	return ns.handle.Kill()
 }
 
-// FailoverStage names a deterministic crash point inside Failover.
-// The stages bracket every durable transition of a promotion, so a
-// chaos schedule can kill the coordinator between any two of them and
-// the next Failover call must resume — not redo, not wedge — the
-// half-finished promotion.
-type FailoverStage int
-
-const (
-	StageNone       FailoverStage = iota
-	StageFenced                   // sink fenced, not yet sealed
-	StageSealed                   // sink closed, successor not yet booted
-	StageRestarted                // successor booted, no room moved yet
-	StageMidPromote               // first room moved, the rest still on the dead owner
-)
-
-// ErrFailoverInterrupted reports that Failover stopped at an armed
-// crash point. The interrupted promotion's lineage stays on the dead
-// list with its progress recorded; calling Failover again resumes it.
+// ErrFailoverInterrupted reports that Failover stopped at a stage the
+// fault hook failed. The interrupted promotion's lineage stays on the
+// dead list with its progress recorded; calling Failover again resumes
+// it.
 var ErrFailoverInterrupted = errors.New("cluster: failover interrupted at crash point")
 
-// CrashNextFailover arms a one-shot crash point: the next Failover
-// call returns ErrFailoverInterrupted when it reaches the stage.
-func (f *Fabric) CrashNextFailover(stage FailoverStage) {
-	f.mu.Lock()
-	f.crashStage = stage
-	f.mu.Unlock()
-}
-
-// crashAt consumes an armed crash point. Callers hold f.mu.
-func (f *Fabric) crashAt(stage FailoverStage) bool {
-	if f.crashStage != stage || stage == StageNone {
-		return false
+// interrupt asks the fault hook whether the promotion of ns stops at
+// stage. Callers hold f.mu.
+func (f *Fabric) interrupt(stage FaultPoint, ns *nodeState, where string) error {
+	if err := f.cfg.Fault(stage, ns.id); err != nil {
+		return fmt.Errorf("%w: %s %s: %v", ErrFailoverInterrupted, ns.id, where, err)
 	}
-	f.crashStage = StageNone
-	return true
+	return nil
 }
 
 // Failover promotes every dead incarnation's warm standby: the sink is
@@ -576,8 +517,8 @@ func (f *Fabric) crashAt(stage FailoverStage) bool {
 // leases are renewed in the same pass (probe-based renewal: the
 // fabric has no renewal goroutine, see the package comment).
 //
-// Failover is re-entrant: a promotion interrupted by an armed crash
-// point (or a caller crash between stages) left the dead incarnation
+// Failover is re-entrant: a promotion interrupted at a fault-hook
+// stage (or by a caller crash between stages) left the dead incarnation
 // on the dead list with its completed stages recorded, and the next
 // call picks up exactly where it stopped. A dead node only leaves the
 // dead list when its promotion fully completes, so interruption can
@@ -620,8 +561,8 @@ func (f *Fabric) Failover() ([]Promotion, error) {
 
 // promoteLocked runs (or resumes) one dead incarnation's promotion.
 // Callers hold f.mu. Each stage checks recorded progress first, so a
-// resumed call skips completed work; armed crash points fire between
-// stages via crashAt.
+// resumed call skips completed work; the fault hook is consulted
+// between stages via interrupt.
 func (f *Fabric) promoteLocked(ns *nodeState) (Promotion, error) {
 	if ns.promoFenced { // any prior progress means this is a resume
 		ns.promoResumes++
@@ -629,8 +570,8 @@ func (f *Fabric) promoteLocked(ns *nodeState) (Promotion, error) {
 	if !ns.promoFenced {
 		ns.sink.Fence(ns.shipEpoch + 1)
 		ns.promoFenced = true
-		if f.crashAt(StageFenced) {
-			return Promotion{}, fmt.Errorf("%w: %s fenced", ErrFailoverInterrupted, ns.id)
+		if err := f.interrupt(StageFenced, ns, "fenced"); err != nil {
+			return Promotion{}, err
 		}
 	}
 	if !ns.promoSealed {
@@ -639,8 +580,8 @@ func (f *Fabric) promoteLocked(ns *nodeState) (Promotion, error) {
 			return Promotion{}, fmt.Errorf("cluster: close standby of %s: %w", ns.id, err)
 		}
 		ns.promoSealed = true
-		if f.crashAt(StageSealed) {
-			return Promotion{}, fmt.Errorf("%w: %s sealed", ErrFailoverInterrupted, ns.id)
+		if err := f.interrupt(StageSealed, ns, "sealed"); err != nil {
+			return Promotion{}, err
 		}
 	}
 	if ns.promoSucc == nil {
@@ -651,8 +592,8 @@ func (f *Fabric) promoteLocked(ns *nodeState) (Promotion, error) {
 		f.nodes[succ.id] = succ
 		f.bases[ns.base] = succ
 		ns.promoSucc = succ
-		if f.crashAt(StageRestarted) {
-			return Promotion{}, fmt.Errorf("%w: %s restarted", ErrFailoverInterrupted, ns.id)
+		if err := f.interrupt(StageRestarted, ns, "restarted"); err != nil {
+			return Promotion{}, err
 		}
 	}
 	succ := ns.promoSucc
@@ -666,14 +607,14 @@ func (f *Fabric) promoteLocked(ns *nodeState) (Promotion, error) {
 			return Promotion{}, fmt.Errorf("cluster: promote %s: %w", room, err)
 		}
 		ns.promoMoves = append(ns.promoMoves, RoomMove{Room: room, EpochBefore: before.Epoch, EpochAfter: after.Epoch})
-		if f.crashAt(StageMidPromote) {
-			return Promotion{}, fmt.Errorf("%w: %s mid-promote after %s", ErrFailoverInterrupted, ns.id, room)
+		if err := f.interrupt(StageMidPromote, ns, "mid-promote after "+room); err != nil {
+			return Promotion{}, err
 		}
 	}
-	if f.crashAt(StageMidPromote) {
-		// The dead owner held no (remaining) rooms; an armed crash point
-		// still fires so schedules stay deterministic.
-		return Promotion{}, fmt.Errorf("%w: %s mid-promote (no rooms)", ErrFailoverInterrupted, ns.id)
+	// Asked again after the loop, so a dead owner with no (remaining)
+	// rooms still reaches the stage and schedules stay deterministic.
+	if err := f.interrupt(StageMidPromote, ns, "mid-promote (no rooms)"); err != nil {
+		return Promotion{}, err
 	}
 	p := Promotion{
 		Dead: ns.id, Promoted: succ.id, Moves: ns.promoMoves,
@@ -686,99 +627,6 @@ func (f *Fabric) promoteLocked(ns *nodeState) (Promotion, error) {
 	p.ReplayErrors = st.Replay.Errors
 	p.ReplayLastLSN = st.Replay.LastLSN
 	return p, nil
-}
-
-// SetSkew assigns a lineage a clock offset for lease races: the
-// lineage's RaceLeases decisions run at Now()+skew, modeling a node
-// whose local clock runs fast (positive skew sees leases expire early).
-func (f *Fabric) SetSkew(base string, d time.Duration) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.skews == nil {
-		f.skews = make(map[string]time.Duration)
-	}
-	f.skews[base] = d
-}
-
-// LeaseRace records one clock-skewed acquisition attempt against
-// another lineage's room. Safety under skew is NOT "the seizure was
-// refused" — a skewed clock may legitimately see an expired lease —
-// it is the fence: a seizure bumps the epoch and the deposed owner's
-// next epoch-checked write is refused.
-type LeaseRace struct {
-	Room       string `json:"room"`
-	Challenger NodeID `json:"challenger"`
-	Owner      NodeID `json:"owner"`
-	// LeaseLive reports whether the owner's lease was still live on the
-	// UNSKEWED fabric clock at race time.
-	LeaseLive bool  `json:"lease_live"`
-	SkewMS    int64 `json:"skew_ms"`
-	Seized    bool  `json:"seized"`
-	// Refused carries the refusal error when the race lost.
-	Refused     string `json:"refused,omitempty"`
-	EpochBefore uint64 `json:"epoch_before"`
-	EpochAfter  uint64 `json:"epoch_after"`
-	// OldOwnerFenced: after a seizure, the deposed owner renewing with
-	// its old epoch on the unskewed clock got ErrFenced. This is the
-	// single-writer guarantee; it must be true for every seizure.
-	OldOwnerFenced bool `json:"old_owner_fenced,omitempty"`
-}
-
-// RaceLeases has the challenger lineage attempt a skewed-clock Acquire
-// on the first room of every other live lineage, records whether the
-// epoch fence held, and — because the challenger holds no replica of a
-// seized room's state — hands every seized room straight back via
-// Handoff (bumping the epoch again). The room's service never moves;
-// what the race probes is the ownership map's safety under disagreeing
-// clocks. Callers must re-route any links for seized rooms (their
-// routed epoch is now stale twice over).
-func (f *Fabric) RaceLeases(challenger string) ([]LeaseRace, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	ch := f.bases[challenger]
-	if ch == nil {
-		return nil, fmt.Errorf("cluster: lineage %s has no live incarnation", challenger)
-	}
-	now := f.clk.Now()
-	skewed := now.Add(f.skews[challenger])
-	var others []string
-	for base, ns := range f.bases {
-		if ns != nil && base != challenger {
-			others = append(others, base)
-		}
-	}
-	sort.Strings(others)
-	var races []LeaseRace
-	for _, base := range others {
-		owner := f.bases[base]
-		rooms := f.owners.Rooms(owner.id)
-		if len(rooms) == 0 {
-			continue
-		}
-		room := rooms[0]
-		before, _ := f.owners.Lookup(room)
-		race := LeaseRace{
-			Room: room, Challenger: ch.id, Owner: owner.id,
-			LeaseLive:   now.Before(before.Expires),
-			SkewMS:      f.skews[challenger].Milliseconds(),
-			EpochBefore: before.Epoch,
-			EpochAfter:  before.Epoch,
-		}
-		after, err := f.owners.AcquireAt(skewed, room, ch.id)
-		if err != nil {
-			race.Refused = err.Error()
-		} else {
-			race.Seized = true
-			race.EpochAfter = after.Epoch
-			_, rerr := f.owners.RenewAt(now, room, owner.id, before.Epoch)
-			race.OldOwnerFenced = errors.Is(rerr, ErrFenced)
-			if _, err := f.owners.Handoff(room, ch.id, owner.id, after.Epoch); err != nil {
-				return races, fmt.Errorf("cluster: hand back %s after race: %w", room, err)
-			}
-		}
-		races = append(races, race)
-	}
-	return races, nil
 }
 
 // NodesIdle reports whether every live node is instantaneously idle.

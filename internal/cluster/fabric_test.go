@@ -24,17 +24,68 @@ import (
 // and ships) with no chat server on top — the tests drive mutations
 // straight through the journaled stores. This is the narrowest harness
 // that exercises the real shipping, promotion and recovery machinery.
+// Its fault hook is a fake fault plan: per-incarnation ship errors and
+// a one-shot failover crash stage, as a chaos harness would keep them.
 type fabHarness struct {
 	t   *testing.T
 	vc  *clock.Virtual
 	reg *metrics.Registry
 	fab *Fabric
 
-	mu     sync.Mutex
-	stores map[NodeID]journal.Stores
-	mgrs   map[NodeID]*journal.Manager
-	dirs   map[NodeID]string
-	seq    int
+	mu      sync.Mutex
+	stores  map[NodeID]journal.Stores
+	mgrs    map[NodeID]*journal.Manager
+	dirs    map[NodeID]string
+	onSyncs map[NodeID]func(uint64)
+	seq     int
+
+	shipErrs map[NodeID]error // ship attempts of these incarnations fail
+	crash    FaultPoint       // failover stage armed to fail once
+	crashes  int              // times the armed stage fired
+}
+
+// fault is the harness's FabricConfig.Fault.
+func (h *fabHarness) fault(at FaultPoint, id NodeID) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if at == ShipApply {
+		return h.shipErrs[id]
+	}
+	if at != h.crash {
+		return nil
+	}
+	h.crash = 0
+	h.crashes++
+	return fmt.Errorf("test crash at stage %d", at)
+}
+
+// failShips makes every ship attempt of the lineage's live incarnation
+// fail with err (nil clears).
+func (h *fabHarness) failShips(base string, err error) {
+	h.t.Helper()
+	id, ok := h.fab.Current(base)
+	if !ok {
+		h.t.Fatalf("lineage %s has no live incarnation", base)
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if err == nil {
+		delete(h.shipErrs, id)
+	} else {
+		h.shipErrs[id] = err
+	}
+}
+
+// heal clears the lineage's ship fault and re-ships at once through the
+// incarnation's OnSync hook, without waiting for the next fsync.
+func (h *fabHarness) heal(base string) {
+	h.t.Helper()
+	h.failShips(base, nil)
+	id, _ := h.fab.Current(base)
+	h.mu.Lock()
+	onSync, mgr := h.onSyncs[id], h.mgrs[id]
+	h.mu.Unlock()
+	onSync(mgr.Stats().SyncedLSN)
 }
 
 func newFabHarness(t *testing.T, nodes int) *fabHarness {
@@ -46,6 +97,9 @@ func newFabHarness(t *testing.T, nodes int) *fabHarness {
 		stores: make(map[NodeID]journal.Stores),
 		mgrs:   make(map[NodeID]*journal.Manager),
 		dirs:   make(map[NodeID]string),
+
+		onSyncs:  make(map[NodeID]func(uint64)),
+		shipErrs: make(map[NodeID]error),
 	}
 	start := func(id NodeID, dir string, onSync func(synced uint64)) (*NodeHandle, error) {
 		stores, err := journal.LoadStores(dir)
@@ -66,6 +120,7 @@ func newFabHarness(t *testing.T, nodes int) *fabHarness {
 		h.stores[id] = stores
 		h.mgrs[id] = mgr
 		h.dirs[id] = dir
+		h.onSyncs[id] = onSync
 		h.mu.Unlock()
 		return &NodeHandle{
 			Dial:  func() (net.Conn, error) { return nil, fmt.Errorf("harness nodes have no chat server") },
@@ -80,10 +135,8 @@ func newFabHarness(t *testing.T, nodes int) *fabHarness {
 		BaseDir: t.TempDir(),
 		Clock:   h.vc,
 		Metrics: h.reg,
-		Start: func(id NodeID, dir string, onSync func(uint64)) (*NodeHandle, error) {
-			nh, err := start(id, dir, onSync)
-			return nh, err
-		},
+		Start:   start,
+		Fault:   h.fault,
 	})
 	if err != nil {
 		t.Fatalf("NewFabric: %v", err)
@@ -189,37 +242,37 @@ func (h *fabHarness) metricsText() string {
 }
 
 // TestShipSeverHealByteIdentical: an asymmetric partition (ship stream
-// cut, node still serving) accumulates lag, Health surfaces it, and
-// HealShip catches the standby up to a byte-identical copy of the
-// primary's journal.
+// cut, node still serving) accumulates lag, and because a cut is a
+// failed ship attempt Health and the stalled gauge surface it; the heal
+// re-ships through OnSync and catches the standby up to a
+// byte-identical copy of the primary's journal.
 func TestShipSeverHealByteIdentical(t *testing.T) {
 	h := newFabHarness(t, 2)
 	h.mutate("n0", 3)
-	if nh := h.health("n0"); nh.Lag != 0 || nh.ShipCut {
+	if nh := h.health("n0"); nh.Lag != 0 || nh.ShipFailures != 0 || nh.ShipErr != "" {
 		t.Fatalf("healthy stream reports %+v", nh)
 	}
 
-	if err := h.fab.CutShip("n0"); err != nil {
-		t.Fatal(err)
-	}
+	h.failShips("n0", errors.New("ship stream severed"))
 	h.mutate("n0", 4)
 	nh := h.health("n0")
-	if !nh.ShipCut {
-		t.Fatalf("cut stream not flagged: %+v", nh)
+	if nh.ShipFailures != 4 || !strings.Contains(nh.ShipErr, "ship stream severed") {
+		t.Fatalf("cut stream not surfaced as 4 failed attempts: %+v", nh)
 	}
-	if nh.Lag == 0 {
-		t.Fatalf("mutations under a severed stream produced no lag: %+v", nh)
+	if nh.Lag != 4 {
+		t.Fatalf("4 mutations under a severed stream produced lag %d: %+v", nh.Lag, nh)
 	}
 	if !strings.Contains(h.metricsText(), "semagent_cluster_ship_stalled 1") {
 		t.Fatalf("stalled gauge did not count the severed stream:\n%s", h.metricsText())
 	}
 
-	if err := h.fab.HealShip("n0"); err != nil {
-		t.Fatalf("HealShip: %v", err)
-	}
+	h.heal("n0")
 	nh = h.health("n0")
-	if nh.Lag != 0 || nh.ShipCut || nh.ShipErr != "" {
+	if nh.Lag != 0 || nh.ShipFailures != 0 || nh.ShipErr != "" {
 		t.Fatalf("healed stream still impaired: %+v", nh)
+	}
+	if !strings.Contains(h.metricsText(), "semagent_cluster_ship_stalled 0") {
+		t.Fatalf("stalled gauge still counts the healed stream:\n%s", h.metricsText())
 	}
 	want := journalBytes(t, h.primaryDir("n0"))
 	got := journalBytes(t, h.sinkDir("n0"))
@@ -240,10 +293,7 @@ func TestShipTransientFaultRetries(t *testing.T) {
 	h := newFabHarness(t, 2)
 	h.mutate("n0", 2)
 
-	injected := errors.New("standby disk wedged")
-	if err := h.fab.InjectSinkFault("n0", injected); err != nil {
-		t.Fatal(err)
-	}
+	h.failShips("n0", errors.New("standby disk wedged"))
 	h.mutate("n0", 3)
 	nh := h.health("n0")
 	if nh.ShipFailures == 0 || nh.ShipErr == "" {
@@ -262,12 +312,10 @@ func TestShipTransientFaultRetries(t *testing.T) {
 		t.Fatalf("ship failure counter missing:\n%s", h.metricsText())
 	}
 
-	// Clear the fault WITHOUT HealShip: the very next OnSync must retry
+	// Clear the fault WITHOUT a heal: the very next OnSync must retry
 	// and catch up on its own — retries belong to the shipper, not the
 	// operator.
-	if err := h.fab.InjectSinkFault("n0", nil); err != nil {
-		t.Fatal(err)
-	}
+	h.failShips("n0", nil)
 	h.mutate("n0", 1)
 	nh = h.health("n0")
 	if nh.Lag != 0 || nh.ShipErr != "" || nh.ShipFailures != 0 {
@@ -281,12 +329,53 @@ func TestShipTransientFaultRetries(t *testing.T) {
 	}
 }
 
+// TestShipFaultSurfacesAndRetriesWithoutGap: a failed ship attempt
+// writes nothing to the standby, counts exactly one failure per
+// attempt, carries the hook's error verbatim in ShipErr, and the retry
+// from the tail mark ships the whole backlog as one contiguous run —
+// the standby's watermark goes straight from before the fault to the
+// primary's, with every record in between.
+func TestShipFaultSurfacesAndRetriesWithoutGap(t *testing.T) {
+	h := newFabHarness(t, 2)
+	h.mutate("n0", 2)
+	before := h.health("n0")
+	if before.SinkLSN == 0 || before.Lag != 0 {
+		t.Fatalf("baseline stream not caught up: %+v", before)
+	}
+
+	wedged := errors.New("standby disk wedged")
+	h.failShips("n0", wedged)
+	h.mutate("n0", 3)
+	nh := h.health("n0")
+	if nh.SinkLSN != before.SinkLSN {
+		t.Fatalf("failed attempts reached the standby: sink lsn %d -> %d", before.SinkLSN, nh.SinkLSN)
+	}
+	if nh.ShipFailures != 3 || nh.ShipErr != wedged.Error() {
+		t.Fatalf("want 3 failed attempts carrying %q, got %+v", wedged, nh)
+	}
+	if errs := h.fab.ShipErrors(); len(errs) != 1 || !errors.Is(errs[0], wedged) {
+		t.Fatalf("ShipErrors = %v, want the hook's error", errs)
+	}
+	if !strings.Contains(h.metricsText(), "semagent_cluster_ship_failures_total 3") {
+		t.Fatalf("failure counter does not read 3:\n%s", h.metricsText())
+	}
+
+	h.heal("n0")
+	nh = h.health("n0")
+	if nh.Lag != 0 || nh.SinkLSN != nh.SyncedLSN || nh.ShipErr != "" {
+		t.Fatalf("retry did not catch the standby up: %+v", nh)
+	}
+	if !bytes.Equal(journalBytes(t, h.sinkDir("n0")), journalBytes(t, h.primaryDir("n0"))) {
+		t.Fatalf("retry from the tail mark left a gap: sink diverges from primary")
+	}
+}
+
 // TestFailoverCrashStagesResume: for every crash point, a failover
-// interrupted there must resume — not redo, not wedge — on the next
-// call, completing exactly one promotion with Resumes == 1 and every
-// room moved exactly once.
+// the fault hook interrupts there must resume — not redo, not wedge —
+// on the next call, completing exactly one promotion with Resumes == 1
+// and every room moved exactly once.
 func TestFailoverCrashStagesResume(t *testing.T) {
-	stages := []FailoverStage{StageFenced, StageSealed, StageRestarted, StageMidPromote}
+	stages := []FaultPoint{StageFenced, StageSealed, StageRestarted, StageMidPromote}
 	for _, stage := range stages {
 		t.Run(fmt.Sprintf("stage-%d", stage), func(t *testing.T) {
 			h := newFabHarness(t, 2)
@@ -302,7 +391,9 @@ func TestFailoverCrashStagesResume(t *testing.T) {
 			}
 			h.vc.Advance(h.fab.Owners().Lease() + time.Second)
 
-			h.fab.CrashNextFailover(stage)
+			h.mu.Lock()
+			h.crash = stage
+			h.mu.Unlock()
 			promos, err := h.fab.Failover()
 			if !errors.Is(err, ErrFailoverInterrupted) {
 				t.Fatalf("armed stage %d: Failover returned %v, want interruption", stage, err)
@@ -321,6 +412,9 @@ func TestFailoverCrashStagesResume(t *testing.T) {
 			p := promos[0]
 			if p.Resumes != 1 {
 				t.Fatalf("promotion resumed %d times, want exactly 1", p.Resumes)
+			}
+			if h.crashes != 1 {
+				t.Fatalf("stage %d interrupted %d times, want exactly 1", stage, h.crashes)
 			}
 			if p.Lossy || p.SinkLastLSN < p.DeadSyncedLSN {
 				t.Fatalf("healthy-stream promotion lost data: %+v", p)
@@ -361,9 +455,7 @@ func TestLaggedStandbyLossyPromotion(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.mutate("n0", 2)
-	if err := h.fab.InjectSinkFault("n0", errors.New("standby lagging")); err != nil {
-		t.Fatal(err)
-	}
+	h.failShips("n0", errors.New("standby lagging"))
 	h.mutate("n0", 3) // durable on the primary, never reaches the sink
 	if err := h.fab.Kill("n0"); err != nil {
 		t.Fatal(err)
@@ -385,59 +477,5 @@ func TestLaggedStandbyLossyPromotion(t *testing.T) {
 	}
 	if p.ReplayErrors != 0 || p.ReplayLastLSN != p.SinkLastLSN {
 		t.Fatalf("replay must cover exactly what was shipped: %+v", p)
-	}
-}
-
-// TestRaceLeasesFencing: a challenger on a fast clock may seize a
-// still-live lease — that is legitimate under skew — but the epoch
-// fence must hold: the seizure bumps the epoch, the deposed owner's
-// stale-epoch renewal is refused, and the room is handed straight back
-// (epoch +2 total, owner unchanged).
-func TestRaceLeasesFencing(t *testing.T) {
-	h := newFabHarness(t, 2)
-	if _, err := h.fab.Owners().Acquire("room-a", "n1"); err != nil {
-		t.Fatal(err)
-	}
-	before, _ := h.fab.Owners().Lookup("room-a")
-
-	// Fast clock: two lease spans ahead — the lease looks long expired.
-	h.fab.SetSkew("n0", 2*h.fab.Owners().Lease())
-	races, err := h.fab.RaceLeases("n0")
-	if err != nil {
-		t.Fatalf("RaceLeases: %v", err)
-	}
-	if len(races) != 1 {
-		t.Fatalf("%d races, want 1 (n1's first room)", len(races))
-	}
-	r := races[0]
-	if !r.Seized || !r.LeaseLive {
-		t.Fatalf("skewed challenger should seize a live lease: %+v", r)
-	}
-	if r.EpochAfter != r.EpochBefore+1 {
-		t.Fatalf("seizure epoch %d -> %d, want +1", r.EpochBefore, r.EpochAfter)
-	}
-	if !r.OldOwnerFenced {
-		t.Fatalf("deposed owner was not fenced: %+v", r)
-	}
-	after, _ := h.fab.Owners().Lookup("room-a")
-	if after.Node != "n1" || after.Epoch != before.Epoch+2 {
-		t.Fatalf("hand-back left room at %s@%d, want n1@%d", after.Node, after.Epoch, before.Epoch+2)
-	}
-
-	// Mild skew inside the fresh lease: the race must lose, loudly.
-	h.fab.SetSkew("n0", time.Second)
-	races, err = h.fab.RaceLeases("n0")
-	if err != nil {
-		t.Fatalf("RaceLeases: %v", err)
-	}
-	if len(races) != 1 || races[0].Seized {
-		t.Fatalf("mild skew should be refused: %+v", races)
-	}
-	if races[0].Refused == "" || races[0].EpochAfter != races[0].EpochBefore {
-		t.Fatalf("refusal must carry the error and hold the epoch: %+v", races[0])
-	}
-	final, _ := h.fab.Owners().Lookup("room-a")
-	if final.Node != "n1" || final.Epoch != after.Epoch {
-		t.Fatalf("refused race moved the room: %+v", final)
 	}
 }

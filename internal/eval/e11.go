@@ -127,7 +127,7 @@ func runE11Arm(mode string, cfg E11Config, msgs []E9Message) (*E11Arm, error) {
 	}
 
 	start := time.Now()
-	pipe := pipeline.New(pipeline.Config{Workers: cfg.Workers, Block: true})
+	pipe := pipeline.New(pipeline.Config{Workers: cfg.Workers})
 	errCh := make(chan error, 1)
 	for _, m := range msgs {
 		m := m

@@ -215,7 +215,7 @@ func e12Capacity(cfg E12Config) (float64, error) {
 			return 0, err
 		}
 	}
-	pipe := pipeline.New(pipeline.Config{Workers: cfg.Workers, Block: true})
+	pipe := pipeline.New(pipeline.Config{Workers: cfg.Workers})
 	start := time.Now()
 	for _, m := range msgs {
 		m := m

@@ -141,7 +141,7 @@ func runE9Arm(name string, sharded, cached bool, cfg E9Config, msgs []E9Message)
 	arm := &E9Arm{Name: name, Sharded: sharded, Cached: cached, Messages: len(msgs)}
 	start := time.Now()
 	if sharded {
-		pipe := pipeline.New(pipeline.Config{Workers: cfg.Workers, Block: true})
+		pipe := pipeline.New(pipeline.Config{Workers: cfg.Workers})
 		errCh := make(chan error, 1)
 		for _, m := range msgs {
 			m := m

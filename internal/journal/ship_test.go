@@ -322,36 +322,3 @@ func TestTailMarkResetReplaysAfterFailure(t *testing.T) {
 		t.Fatalf("cursor did not advance past the re-read: %v, %v", recs, err)
 	}
 }
-
-// TestSinkInjectFaultSurfacesAndHeals: an injected sink fault fails
-// Apply before anything is written, surfaces the injected error
-// verbatim, and clearing it makes the same batch apply cleanly.
-func TestSinkInjectFaultSurfacesAndHeals(t *testing.T) {
-	src := t.TempDir()
-	writeSegment(t, src, 1, []uint64{1, 2}, "")
-	recs, err := NewTailReader(src).Next(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	s, err := OpenSink(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	wedged := errors.New("standby disk wedged")
-	s.InjectFault(wedged)
-	if err := s.Apply(1, recs); !errors.Is(err, wedged) {
-		t.Fatalf("faulted apply returned %v, want the injected error", err)
-	}
-	if s.LastLSN() != 0 || s.Records() != 0 {
-		t.Fatalf("faulted apply wrote: lastLSN %d records %d", s.LastLSN(), s.Records())
-	}
-	s.InjectFault(nil)
-	if err := s.Apply(1, recs); err != nil {
-		t.Fatalf("apply after fault cleared: %v", err)
-	}
-	if s.LastLSN() != 2 || s.Records() != 2 {
-		t.Fatalf("healed sink lastLSN %d records %d, want 2/2", s.LastLSN(), s.Records())
-	}
-}

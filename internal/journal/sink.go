@@ -43,7 +43,6 @@ type Sink struct {
 	lastLSN uint64
 	records uint64
 	closed  bool
-	fault   error
 }
 
 // OpenSink opens (or creates) a standby journal directory. Reopening
@@ -143,9 +142,6 @@ func (s *Sink) Apply(epoch uint64, recs []ShippedRecord) error {
 	if epoch < s.fence {
 		return fmt.Errorf("%w: ship epoch %d < fence %d", ErrSinkFenced, epoch, s.fence)
 	}
-	if s.fault != nil {
-		return s.fault
-	}
 	wrote := false
 	for _, rec := range recs {
 		if rec.LSN <= s.lastLSN {
@@ -187,17 +183,6 @@ func (s *Sink) rotateLocked() error {
 	s.f = f
 	s.size = 0
 	return nil
-}
-
-// InjectFault makes every subsequent Apply fail with err before
-// writing anything (nil clears the fault). Chaos harnesses use it to
-// model a lagging or wedged standby: the shipper keeps its tail
-// cursor parked at the last durable position, so healing the fault
-// resumes shipping with no gap.
-func (s *Sink) InjectFault(err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.fault = err
 }
 
 // LastLSN returns the highest LSN the sink has durably applied — the

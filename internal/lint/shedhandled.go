@@ -12,9 +12,9 @@ import (
 
 const shedHandledDoc = `forbid discarding the error of pipeline admission calls
 
-pipeline.Submit returns ErrShed (admission control refused the task),
-ErrFull (bounded queue, non-blocking mode) or ErrClosed — all of them
-mean a supervision task silently did not run. A caller that discards
+pipeline.Submit returns ErrShed (admission control refused the task)
+or ErrClosed (the pipeline shut down) — both mean a supervision task
+silently did not run. A caller that discards
 the error turns deliberate, counted load shedding into a silent
 coverage hole. The analyzer reports calls whose error result is
 dropped: used as an expression statement, assigned to the blank
@@ -67,16 +67,16 @@ func runShedHandled(pass *analysis.Pass) (interface{}, error) {
 		parent := stack[len(stack)-2]
 		switch p := parent.(type) {
 		case *ast.ExprStmt:
-			pass.ReportRangef(call, "error of %s discarded: a shed (ErrShed/ErrFull) means this task silently did not run — handle or count it", name)
+			pass.ReportRangef(call, "error of %s discarded: a shed or close (ErrShed/ErrClosed) means this task silently did not run — handle or count it", name)
 		case *ast.GoStmt, *ast.DeferStmt:
-			pass.ReportRangef(call, "error of %s unobservable from go/defer: a shed (ErrShed/ErrFull) means this task silently did not run", name)
+			pass.ReportRangef(call, "error of %s unobservable from go/defer: a shed or close (ErrShed/ErrClosed) means this task silently did not run", name)
 		case *ast.AssignStmt:
 			for i, rhs := range p.Rhs {
 				if ast.Unparen(rhs) != call || i >= len(p.Lhs) {
 					continue
 				}
 				if id, ok := p.Lhs[i].(*ast.Ident); ok && id.Name == "_" {
-					pass.ReportRangef(call, "error of %s assigned to _: a shed (ErrShed/ErrFull) means this task silently did not run — handle or count it", name)
+					pass.ReportRangef(call, "error of %s assigned to _: a shed or close (ErrShed/ErrClosed) means this task silently did not run — handle or count it", name)
 				}
 			}
 		}

@@ -322,7 +322,7 @@ func TestSlowRoomDoesNotStallSiblings(t *testing.T) {
 // queue must be released promptly when Close is called, even though the
 // queue's worker is wedged and nothing will ever drain the queue.
 func TestSubmitBlockedDuringCloseReturns(t *testing.T) {
-	p := New(Config{Workers: 1, QueueSize: 1, Block: true})
+	p := New(Config{Workers: 1, QueueSize: 1})
 
 	gate := make(chan struct{})
 	started := make(chan struct{})

@@ -9,16 +9,15 @@
 // rooms spread across the pool.
 //
 // Each shard's queue is bounded. Without admission control a full queue
-// either rejects the task (ErrFull, Config.Block=false) or blocks the
-// submitter until space frees (Config.Block=true) — backpressure
-// instead of unbounded goroutine growth. With admission control
+// blocks the submitter until space frees — backpressure instead of
+// unbounded goroutine growth. With admission control
 // (Config.Policy != ShedNone) the pipeline sheds load deterministically
 // instead of blocking: a room above its queue-depth watermark, or the
 // whole pool above its in-flight watermark, drops the new task
 // (ShedRejectNew) or evicts the oldest queued task of the shard
 // (ShedOldest) — so a traffic spike degrades supervision coverage,
 // never end-to-end chat latency. Stats exposes submitted/completed/
-// rejected/shed counts and queue high-water marks so operators can see
+// blocked/shed counts and queue high-water marks so operators can see
 // saturation; a metrics.Registry (Config.Metrics) additionally gets
 // queue-wait and task-duration histograms on the hot path.
 package pipeline
@@ -37,9 +36,6 @@ import (
 
 // Errors returned by Submit.
 var (
-	// ErrFull reports a full shard queue in non-blocking mode without
-	// admission control.
-	ErrFull = errors.New("pipeline: shard queue full")
 	// ErrClosed reports submission after Close.
 	ErrClosed = errors.New("pipeline: closed")
 	// ErrShed reports that admission control refused the task: the
@@ -53,8 +49,8 @@ type ShedPolicy uint8
 
 // Admission-control policies.
 const (
-	// ShedNone disables admission control: a full queue blocks
-	// (Config.Block) or rejects with ErrFull — the pre-D10 behaviour.
+	// ShedNone disables admission control: a full queue blocks the
+	// submitter — the pre-D10 behaviour.
 	ShedNone ShedPolicy = iota
 	// ShedRejectNew drops the incoming task (the submitter learns
 	// immediately via ErrShed).
@@ -100,11 +96,10 @@ type Config struct {
 	Workers int
 	// QueueSize is each shard's task-queue capacity. 0 selects 256.
 	QueueSize int
-	// Block makes Submit wait for queue space instead of returning
-	// ErrFull. Ignored when Policy != ShedNone (admission control never
-	// blocks — that is its point). The chat server without shedding
-	// uses blocking mode: supervision applies backpressure to a
-	// flooding client rather than silently dropping its messages.
+	// Block is a no-op kept for source compatibility: without
+	// admission control Submit always waits for queue space (the
+	// non-blocking mode and its ErrFull are gone), and with it Submit
+	// never waits.
 	Block bool
 
 	// Policy enables admission control (DESIGN.md D10).
@@ -139,9 +134,8 @@ type Config struct {
 type Stats struct {
 	// Workers is the shard count.
 	Workers int
-	// Submitted, Completed and Rejected count tasks accepted, finished
-	// and refused (ErrFull).
-	Submitted, Completed, Rejected int64
+	// Submitted and Completed count tasks accepted and finished.
+	Submitted, Completed int64
 	// Blocked counts Submit calls that had to wait for queue space.
 	Blocked int64
 	// Shed counts tasks dropped by admission control: new tasks refused
@@ -168,7 +162,6 @@ func (s Stats) Merge(o Stats) Stats {
 	}
 	s.Submitted += o.Submitted
 	s.Completed += o.Completed
-	s.Rejected += o.Rejected
 	s.Blocked += o.Blocked
 	s.Shed += o.Shed
 	s.ShedNew += o.ShedNew
@@ -221,9 +214,9 @@ func (sh *shard) depthOf(room string) int {
 // pipeMetrics are the registered hot-path instruments (nil when the
 // pipeline runs unobserved).
 type pipeMetrics struct {
-	submitted, completed, rejected, blocked *metrics.Counter
-	shedNew, shedOldest                     *metrics.Counter
-	queueWait, taskDur                      *metrics.Histogram
+	submitted, completed, blocked *metrics.Counter
+	shedNew, shedOldest           *metrics.Counter
+	queueWait, taskDur            *metrics.Histogram
 }
 
 func newPipeMetrics(r *metrics.Registry) *pipeMetrics {
@@ -233,7 +226,6 @@ func newPipeMetrics(r *metrics.Registry) *pipeMetrics {
 	return &pipeMetrics{
 		submitted:  r.Counter("semagent_pipeline_submitted_total", "tasks accepted onto a shard queue"),
 		completed:  r.Counter("semagent_pipeline_completed_total", "tasks run to completion"),
-		rejected:   r.Counter("semagent_pipeline_rejected_total", "tasks refused with ErrFull (non-blocking, no admission control)"),
 		blocked:    r.Counter("semagent_pipeline_blocked_total", "Submit calls that waited for queue space"),
 		shedNew:    r.Counter("semagent_pipeline_shed_total", "tasks dropped by admission control", metrics.L("kind", "reject-new")),
 		shedOldest: r.Counter("semagent_pipeline_shed_total", "tasks dropped by admission control", metrics.L("kind", "oldest-drop")),
@@ -266,9 +258,9 @@ type Pipeline struct {
 	closing  chan struct{}
 	inflight int // blocked submitters Close must wait out
 
-	submitted, rejected, blocked int64
-	shedNew, shedOldest          int64
-	maxDepth                     int
+	submitted, blocked  int64
+	shedNew, shedOldest int64
+	maxDepth            int
 
 	// completed is atomic and waiters gates the cond broadcast, so the
 	// per-task completion path stays off the shared mutex — workers on
@@ -286,11 +278,6 @@ func New(cfg Config) *Pipeline {
 	}
 	if cfg.QueueSize <= 0 {
 		cfg.QueueSize = 256
-	}
-	if cfg.Policy != ShedNone {
-		// Admission control supersedes blocking: watermarks shed
-		// deterministically, they never stall a submitter.
-		cfg.Block = false
 	}
 	p := &Pipeline{
 		shards:        make([]*shard, cfg.Workers),
@@ -370,10 +357,10 @@ func (p *Pipeline) shardFor(room string) *shard {
 }
 
 // Submit enqueues a task on the room's shard. Tasks of one room run in
-// submission order; tasks of different rooms run in parallel. Returns
-// ErrShed when admission control refuses the task, ErrFull when the
-// shard queue is full in non-blocking mode without admission control,
-// ErrClosed after Close.
+// submission order; tasks of different rooms run in parallel. Without
+// admission control a full shard queue blocks until space frees.
+// Returns ErrShed when admission control refuses the task, ErrClosed
+// after Close.
 func (p *Pipeline) Submit(room string, fn func()) error {
 	if fn == nil {
 		return errors.New("pipeline: nil task")
@@ -460,15 +447,6 @@ func (p *Pipeline) Submit(room string, fn func()) error {
 		p.mu.Unlock()
 		p.notifyShed(room)
 		return ErrShed
-	}
-	if !p.cfg.Block {
-		p.unreserve(sh, room)
-		p.rejected++
-		if p.met != nil {
-			p.met.rejected.Inc()
-		}
-		p.mu.Unlock()
-		return ErrFull
 	}
 	// Blocking path: wait for space outside the lock, but register as
 	// in flight so Close does not tear the queues down under us. The
@@ -642,7 +620,6 @@ func (p *Pipeline) Stats() Stats {
 		Workers:       len(p.shards),
 		Submitted:     p.submitted,
 		Completed:     p.completed.Load(),
-		Rejected:      p.rejected,
 		Blocked:       p.blocked,
 		Shed:          p.shedNew + p.shedOldest,
 		ShedNew:       p.shedNew,

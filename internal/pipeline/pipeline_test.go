@@ -32,7 +32,7 @@ func TestPerRoomOrdering(t *testing.T) {
 		rooms = 16
 		tasks = 200
 	)
-	p := New(Config{Workers: 4, QueueSize: 8, Block: true})
+	p := New(Config{Workers: 4, QueueSize: 8})
 	defer p.Close()
 
 	var mu sync.Mutex
@@ -80,46 +80,12 @@ func TestPerRoomOrdering(t *testing.T) {
 	if st.Submitted != rooms*tasks || st.Completed != rooms*tasks {
 		t.Errorf("stats = %+v, want %d submitted and completed", st, rooms*tasks)
 	}
-	if st.Rejected != 0 {
-		t.Errorf("rejected = %d, want 0 in blocking mode", st.Rejected)
-	}
-}
-
-// TestQueueFullRejects fills one shard while its worker is held and
-// checks non-blocking Submit returns ErrFull and counts the rejection.
-func TestQueueFullRejects(t *testing.T) {
-	p := New(Config{Workers: 1, QueueSize: 2, Block: false})
-	defer p.Close()
-
-	gate := make(chan struct{})
-	started := make(chan struct{})
-	if err := p.Submit("room", func() { close(started); <-gate }); err != nil {
-		t.Fatal(err)
-	}
-	<-started // worker busy; queue now empty
-
-	for i := 0; i < 2; i++ {
-		if err := p.Submit("room", func() {}); err != nil {
-			t.Fatalf("fill %d: %v", i, err)
-		}
-	}
-	if err := p.Submit("room", func() {}); err != ErrFull {
-		t.Fatalf("overfull submit err = %v, want ErrFull", err)
-	}
-	if st := p.Stats(); st.Rejected != 1 {
-		t.Errorf("rejected = %d, want 1", st.Rejected)
-	}
-	close(gate)
-	p.Drain()
-	if st := p.Stats(); st.Completed != 3 {
-		t.Errorf("completed = %d, want 3", st.Completed)
-	}
 }
 
 // TestBlockingBackpressure holds a worker, fills the queue, then checks
 // a blocking Submit waits until space frees instead of failing.
 func TestBlockingBackpressure(t *testing.T) {
-	p := New(Config{Workers: 1, QueueSize: 1, Block: true})
+	p := New(Config{Workers: 1, QueueSize: 1})
 	defer p.Close()
 
 	gate := make(chan struct{})
@@ -152,7 +118,7 @@ func TestBlockingBackpressure(t *testing.T) {
 // TestCloseDrainsAndRejects checks Close runs queued tasks, releases
 // blocked submitters with ErrClosed, and later submits fail.
 func TestCloseDrainsAndRejects(t *testing.T) {
-	p := New(Config{Workers: 1, QueueSize: 1, Block: true})
+	p := New(Config{Workers: 1, QueueSize: 1})
 
 	gate := make(chan struct{})
 	started := make(chan struct{})

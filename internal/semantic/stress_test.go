@@ -42,7 +42,7 @@ func TestAnalyzeConsistentUnderConcurrentMutation(t *testing.T) {
 	var inconsistent []string
 	analyses := 0
 
-	pipe := pipeline.New(pipeline.Config{Workers: 4, Block: true})
+	pipe := pipeline.New(pipeline.Config{Workers: 4})
 	stop := make(chan struct{})
 	var writer sync.WaitGroup
 	writer.Add(1)

@@ -23,7 +23,9 @@ import (
 // single server; everything else (virtual clock, memnet, settle
 // barrier, transcript) is unchanged. StepKillNode crashes a node and
 // promotes its journal-shipped warm standby; StepPartition severs the
-// gateway's links to a node without killing it.
+// gateway's links to a node without killing it. The ship-stream and
+// failover faults live in a faultPlan the fabric consults through its
+// one fault hook (cluster.FabricConfig.Fault).
 
 // simNode is one node incarnation built by the fabric's Start
 // callback: private stores, journal (with the WAL-shipping OnSync
@@ -35,6 +37,54 @@ type simNode struct {
 	sup      *core.Supervisor
 	stores   journal.Stores
 	mgr      *journal.Manager
+	onSync   func(synced uint64) // the fabric's WAL-shipping hook
+}
+
+// errShipCut and errInjectedSinkFault are the deterministic errors a
+// faultPlan fails ship attempts with: an asymmetric partition
+// (StepCutShip) and a wedged standby (StepSinkFault).
+var (
+	errShipCut           = errors.New("ship stream severed (chaos)")
+	errInjectedSinkFault = errors.New("injected sink fault (chaos)")
+)
+
+// faultPlan is the cluster scenario's fault schedule: which
+// incarnations' ship attempts fail, and the failover stage armed to
+// crash once. The fabric asks it at every cluster.FaultPoint — from
+// journal sync callbacks as well as the sim thread, hence the lock.
+type faultPlan struct {
+	mu    sync.Mutex
+	ships map[cluster.NodeID]error
+	crash cluster.FaultPoint
+}
+
+// at is the fabric's FabricConfig.Fault hook.
+func (p *faultPlan) at(point cluster.FaultPoint, id cluster.NodeID) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if point == cluster.ShipApply {
+		return p.ships[id]
+	}
+	if point != p.crash {
+		return nil
+	}
+	p.crash = 0
+	return fmt.Errorf("coordinator crashed at stage %d", point)
+}
+
+// failShips fails every ship attempt of incarnation id with err (nil
+// heals).
+func (p *faultPlan) failShips(id cluster.NodeID, err error) {
+	p.mu.Lock()
+	p.ships[id] = err
+	p.mu.Unlock()
+}
+
+// armCrash makes the next Failover stop once at stage.
+func (p *faultPlan) armCrash(stage cluster.FaultPoint) {
+	p.mu.Lock()
+	p.crash = stage
+	p.mu.Unlock()
 }
 
 // clusterRuntime is the runner's cluster-mode substrate.
@@ -43,6 +93,7 @@ type clusterRuntime struct {
 	gw         *cluster.Gateway
 	gwListener *memnet.Listener
 	lease      time.Duration
+	faults     faultPlan
 
 	// mu guards nodes: incarnations come and go on the sim thread, but
 	// the recorder resolves rooms to supervisors from pipeline workers.
@@ -86,6 +137,7 @@ func (cr *clusterRuntime) resolveSup(room string) *core.Supervisor {
 func (r *runner) startCluster() error {
 	cc := r.sc.Cluster
 	cr := &clusterRuntime{nodes: make(map[cluster.NodeID]*simNode)}
+	cr.faults.ships = make(map[cluster.NodeID]error)
 	r.cluster = cr
 	r.rec = newRecorder(nil)
 	r.rec.resolve = cr.resolveSup
@@ -118,7 +170,7 @@ func (r *runner) startCluster() error {
 		if err != nil {
 			return nil, fmt.Errorf("node %s: build supervisor: %w", id, err)
 		}
-		n := &simNode{id: id, stores: stores, mgr: mgr, sup: sup, listener: memnet.NewListener()}
+		n := &simNode{id: id, stores: stores, mgr: mgr, sup: sup, listener: memnet.NewListener(), onSync: onSync}
 		n.server = chat.NewServer(chat.ServerOptions{
 			Supervisor:     r.rec,
 			Async:          r.sc.Async,
@@ -173,6 +225,7 @@ func (r *runner) startCluster() error {
 		BaseDir: r.dir,
 		Clock:   r.vc,
 		Start:   start,
+		Fault:   cr.faults.at,
 	})
 	if err != nil {
 		return fmt.Errorf("start fabric: %w", err)
@@ -213,17 +266,54 @@ func (r *runner) roomServer(room string) (*chat.Server, error) {
 	return n.server, nil
 }
 
-// killNode crashes a lineage's live incarnation, expires its lease on
-// the virtual clock and promotes its warm standby. The settle that
-// follows in step() rides every gateway link through the failover.
-func (r *runner) killNode(st Step) error {
-	cr := r.cluster
-	if cr == nil {
-		return fmt.Errorf("StepKillNode requires Scenario.Cluster")
+// clusterStep runs one cluster-only step (any other kind is unknown):
+// it writes the step's transcript line, settles the stack, then fires
+// the fault.
+func (r *runner) clusterStep(i int, st Step) error {
+	var desc string
+	var fire func(*clusterRuntime, Step) error
+	switch st.Kind {
+	case StepKillNode:
+		desc, fire = fmt.Sprintf("kill node %s: incarnation dies, warm standby promoted after lease expiry", st.Node), r.killNode
+		if st.Stage > 0 {
+			desc = fmt.Sprintf("kill node %s: incarnation dies, failover crashes at stage %d and resumes", st.Node, st.Stage)
+		}
+	case StepPartition:
+		desc, fire = fmt.Sprintf("partition node %s: gateway links severed, resume-reconnect to same owner", st.Node), r.partitionNode
+	case StepCutShip:
+		desc, fire = fmt.Sprintf("cut ship %s: WAL stream to standby severed, client edge stays up", st.Node), r.failShips
+	case StepHealShip:
+		desc, fire = fmt.Sprintf("heal ship %s: WAL stream reconnected, backlog ships", st.Node), r.healShip
+	case StepSinkFault:
+		desc, fire = fmt.Sprintf("sink fault %s: standby rejects applies until healed", st.Node), r.failShips
+	case StepSkewRace:
+		desc, fire = fmt.Sprintf("skew race %s: clock offset %s, race every other lineage's leases", st.Node, st.Skew), r.skewRace
+	default:
+		return fmt.Errorf("unknown step kind %d", st.Kind)
+	}
+	r.tr.step(i, desc)
+	if r.cluster == nil {
+		return fmt.Errorf("step %d (%s) requires Scenario.Cluster", i, desc)
 	}
 	if err := r.settle(); err != nil {
 		return err
 	}
+	return fire(r.cluster, st)
+}
+
+// current resolves a lineage to its live incarnation.
+func (cr *clusterRuntime) current(base string) (cluster.NodeID, error) {
+	id, ok := cr.fab.Current(base)
+	if !ok {
+		return "", fmt.Errorf("lineage %s has no live incarnation", base)
+	}
+	return id, nil
+}
+
+// killNode crashes a lineage's live incarnation, expires its lease on
+// the virtual clock and promotes its warm standby. The settle that
+// follows in step() rides every gateway link through the failover.
+func (r *runner) killNode(cr *clusterRuntime, st Step) error {
 	if err := cr.fab.Kill(st.Node); err != nil {
 		return err
 	}
@@ -235,7 +325,7 @@ func (r *runner) killNode(st Step) error {
 		// Kill-during-promotion: arm the crash point, prove the first
 		// Failover stops there, then resume. A promotion that completes
 		// despite the armed stage (or wedges on resume) fails the run.
-		cr.fab.CrashNextFailover(cluster.FailoverStage(st.Stage))
+		cr.faults.armCrash(cluster.FaultPoint(st.Stage))
 		if _, err := cr.fab.Failover(); !errors.Is(err, cluster.ErrFailoverInterrupted) {
 			return fmt.Errorf("staged failover: wanted interruption at stage %d, got %v", st.Stage, err)
 		}
@@ -256,93 +346,70 @@ func (r *runner) killNode(st Step) error {
 
 // partitionNode severs the gateway's links to a live node; the links
 // reconnect to the same owner with Resume joins during the settle.
-func (r *runner) partitionNode(st Step) error {
-	cr := r.cluster
-	if cr == nil {
-		return fmt.Errorf("StepPartition requires Scenario.Cluster")
-	}
-	if err := r.settle(); err != nil {
-		return err
-	}
-	id, ok := cr.fab.Current(st.Node)
-	if !ok {
-		return fmt.Errorf("partition: lineage %s has no live incarnation", st.Node)
+func (r *runner) partitionNode(cr *clusterRuntime, st Step) error {
+	id, err := cr.current(st.Node)
+	if err != nil {
+		return fmt.Errorf("partition: %w", err)
 	}
 	cut := cr.gw.CutNode(id)
 	r.tr.note(fmt.Sprintf("partition: severed %d gateway links to %s", cut, id))
 	return nil
 }
 
-// errInjectedSinkFault is the deterministic apply error StepSinkFault
-// plants in a standby sink.
-var errInjectedSinkFault = errors.New("injected sink fault (chaos)")
-
-// cutShip severs a lineage's WAL ship stream while its client edge
-// stays up — the asymmetric partition.
-func (r *runner) cutShip(st Step) error {
-	cr := r.cluster
-	if cr == nil {
-		return fmt.Errorf("StepCutShip requires Scenario.Cluster")
-	}
-	if err := r.settle(); err != nil {
+// failShips fails every ship attempt of a lineage's live incarnation
+// until the heal: StepCutShip severs the stream while the client edge
+// stays up (the asymmetric partition), StepSinkFault wedges the
+// standby. Either way the shipper must surface the failures (counter,
+// Health) and retry — and a kill before the heal must audit as a lossy
+// promotion.
+func (r *runner) failShips(cr *clusterRuntime, st Step) error {
+	id, err := cr.current(st.Node)
+	if err != nil {
 		return err
 	}
-	if err := cr.fab.CutShip(st.Node); err != nil {
-		return err
+	if st.Kind == StepCutShip {
+		cr.faults.failShips(id, errShipCut)
+		r.tr.note(fmt.Sprintf("ship stream %s: severed (clients unaffected)", st.Node))
+	} else {
+		cr.faults.failShips(id, errInjectedSinkFault)
+		r.tr.note(fmt.Sprintf("standby sink %s: fault injected (applies fail until healed)", st.Node))
 	}
-	r.tr.note(fmt.Sprintf("ship stream %s: severed (clients unaffected)", st.Node))
 	return nil
 }
 
-// healShip reconnects a severed ship stream; the accumulated backlog
-// ships before the step returns.
-func (r *runner) healShip(st Step) error {
-	cr := r.cluster
-	if cr == nil {
-		return fmt.Errorf("StepHealShip requires Scenario.Cluster")
-	}
-	if err := r.settle(); err != nil {
+// healShip clears a lineage's ship fault (cut or sink fault) and
+// re-ships through the incarnation's OnSync hook at once: the journal
+// will not necessarily fsync again soon, so waiting for the next sync
+// could leave the standby lagging forever.
+func (r *runner) healShip(cr *clusterRuntime, st Step) error {
+	id, err := cr.current(st.Node)
+	if err != nil {
 		return err
 	}
-	if err := cr.fab.HealShip(st.Node); err != nil {
-		return err
+	cr.faults.failShips(id, nil)
+	cr.mu.Lock()
+	n := cr.nodes[id]
+	cr.mu.Unlock()
+	n.onSync(n.mgr.Stats().SyncedLSN)
+	for _, h := range cr.fab.Health() {
+		if h.Node == id && h.ShipErr != "" {
+			return fmt.Errorf("heal ship %s: %s", id, h.ShipErr)
+		}
 	}
 	r.tr.note(fmt.Sprintf("ship stream %s: healed (standby caught up)", st.Node))
 	return nil
 }
 
-// sinkFault wedges a lineage's standby sink so every apply fails. The
-// shipper must surface the failures (counter, Health) and retry — and
-// a kill before the heal must audit as a lossy promotion.
-func (r *runner) sinkFault(st Step) error {
-	cr := r.cluster
-	if cr == nil {
-		return fmt.Errorf("StepSinkFault requires Scenario.Cluster")
-	}
-	if err := r.settle(); err != nil {
+// skewRace races a lineage, on a clock offset by Step.Skew, for every
+// other live lineage's leases. Seized rooms are handed straight back
+// (the challenger has no replica); the step re-routes their gateway
+// links so the settle barrier sees fresh epochs.
+func (r *runner) skewRace(cr *clusterRuntime, st Step) error {
+	ch, err := cr.current(st.Node)
+	if err != nil {
 		return err
 	}
-	if err := cr.fab.InjectSinkFault(st.Node, errInjectedSinkFault); err != nil {
-		return err
-	}
-	r.tr.note(fmt.Sprintf("standby sink %s: fault injected (applies fail until healed)", st.Node))
-	return nil
-}
-
-// skewRace gives a lineage a clock offset and races it for every other
-// live lineage's leases. Seized rooms are handed straight back by the
-// fabric (the challenger has no replica); the step re-routes their
-// gateway links so the settle barrier sees fresh epochs.
-func (r *runner) skewRace(st Step) error {
-	cr := r.cluster
-	if cr == nil {
-		return fmt.Errorf("StepSkewRace requires Scenario.Cluster")
-	}
-	if err := r.settle(); err != nil {
-		return err
-	}
-	cr.fab.SetSkew(st.Node, st.Skew)
-	races, err := cr.fab.RaceLeases(st.Node)
+	races, err := raceLeases(cr.fab.Owners(), r.vc.Now(), ch, cr.fab.LiveNodes(), st.Skew)
 	if err != nil {
 		return err
 	}

@@ -35,6 +35,35 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
+// TestShipImpairmentsEndHealedOrKilled: a ship stream still cut or
+// faulted at session end is an outstanding ship error, and the
+// simulator fails such a run. Every generated schedule must therefore
+// follow each StepCutShip / StepSinkFault with a heal or a kill of the
+// same lineage.
+func TestShipImpairmentsEndHealedOrKilled(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		sc, _, err := Generate(Config{
+			Seed: seed, Rooms: 6, Arrival: ArrivalBursty, ClusterNodes: 3,
+			NodeKills: 3, ShipCuts: 3, LaggedKills: 3, PromotionCrashes: 3,
+		})
+		if err != nil {
+			t.Fatalf("seed %d: Generate: %v", seed, err)
+		}
+		impaired := make(map[string]int)
+		for i, st := range sc.Steps {
+			switch st.Kind {
+			case simulate.StepCutShip, simulate.StepSinkFault:
+				impaired[st.Node] = i
+			case simulate.StepHealShip, simulate.StepKillNode:
+				delete(impaired, st.Node)
+			}
+		}
+		for node, i := range impaired {
+			t.Fatalf("seed %d: lineage %s impaired at step %d and never healed or killed", seed, node, i)
+		}
+	}
+}
+
 // TestGenerateSeedsDiffer: different seeds must explore different
 // populations (otherwise the sweep in E14 is one scenario 25 times).
 func TestGenerateSeedsDiffer(t *testing.T) {

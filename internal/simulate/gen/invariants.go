@@ -307,8 +307,9 @@ func checkNoSilentLoss(sc *simulate.Scenario, res *simulate.Result) []Violation 
 }
 
 // checkShipResume audits the final replication-health snapshot: a live
-// node with nonzero lag must be flagged as impaired (cut, failing or
-// erroring) — the silent stall this invariant is named for — and a
+// node with nonzero lag must be flagged as impaired (failed attempts
+// or an outstanding error; a cut stream fails its ship attempts) — the
+// silent stall this invariant is named for — and a
 // lineage whose scripted faults were all healed must have caught up
 // completely by the final settle.
 func checkShipResume(sc *simulate.Scenario, res *simulate.Result) []Violation {
@@ -329,16 +330,16 @@ func checkShipResume(sc *simulate.Scenario, res *simulate.Result) []Violation {
 		if !h.Live {
 			continue // dead-awaiting-failover: audited by the promotion
 		}
-		surfaced := h.ShipCut || h.ShipFailures > 0 || h.ShipErr != ""
+		surfaced := h.ShipFailures > 0 || h.ShipErr != ""
 		if h.Lag > 0 && !surfaced {
 			out = append(out, Violation{InvShipResume, fmt.Sprintf(
 				"node %s: standby lags %d records (synced %d, sink %d) with a clean health report — silent ship stall",
 				h.Node, h.Lag, h.SyncedLSN, h.SinkLSN)})
 		}
-		if !impaired[h.Base] && (h.Lag > 0 || h.ShipCut || h.ShipErr != "") {
+		if !impaired[h.Base] && (h.Lag > 0 || h.ShipErr != "") {
 			out = append(out, Violation{InvShipResume, fmt.Sprintf(
-				"node %s: ship stream was healed (or never impaired) but ended lag=%d cut=%v err=%q — stream did not resume",
-				h.Node, h.Lag, h.ShipCut, h.ShipErr)})
+				"node %s: ship stream was healed (or never impaired) but ended lag=%d err=%q — stream did not resume",
+				h.Node, h.Lag, h.ShipErr)})
 		}
 	}
 	return out

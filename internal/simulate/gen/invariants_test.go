@@ -287,7 +287,7 @@ func TestAdversarialCheckersFire(t *testing.T) {
 		// A lagging standby whose health report claims nothing is wrong:
 		// the exact silent death the invariant exists for.
 		h := &cp.ShipHealth[liveAt]
-		h.Lag, h.ShipCut, h.ShipFailures, h.ShipErr = 7, false, 0, ""
+		h.Lag, h.ShipFailures, h.ShipErr = 7, 0, ""
 		h.SinkLSN = h.SyncedLSN - 7
 		if !hasViolation(Check(sc, cp), InvShipResume) {
 			t.Fatalf("ship-resume checker ignored a lagging standby with a clean health report")
@@ -297,8 +297,10 @@ func TestAdversarialCheckersFire(t *testing.T) {
 	t.Run("ship-resume/healed-stream-still-cut", func(t *testing.T) {
 		cp := shallowCopy(res)
 		// The script healed every cut, yet a node ends the session with
-		// its stream still severed.
-		cp.ShipHealth[liveAt].ShipCut = true
+		// its stream still severed: a cut stream fails every ship attempt,
+		// so its health carries the failure.
+		h := &cp.ShipHealth[liveAt]
+		h.ShipFailures, h.ShipErr = 1, "ship stream severed (chaos)"
 		if !hasViolation(Check(sc, cp), InvShipResume) {
 			t.Fatalf("ship-resume checker ignored a healed stream that stayed cut")
 		}
@@ -354,7 +356,7 @@ func TestAdversarialCheckersFire(t *testing.T) {
 		cp := shallowCopy(res)
 		cp.LeaseRaces = append(cp.LeaseRaces, simulate.LeaseRaceStats{
 			Step: 0,
-			LeaseRace: cluster.LeaseRace{
+			LeaseRace: simulate.LeaseRace{
 				Room: "room-00000", Challenger: "n1", Owner: "n0",
 				Seized: true, EpochBefore: 3, EpochAfter: 4,
 				OldOwnerFenced: false,
@@ -369,7 +371,7 @@ func TestAdversarialCheckersFire(t *testing.T) {
 		cp := shallowCopy(res)
 		cp.LeaseRaces = append(cp.LeaseRaces, simulate.LeaseRaceStats{
 			Step: 0,
-			LeaseRace: cluster.LeaseRace{
+			LeaseRace: simulate.LeaseRace{
 				Room: "room-00000", Challenger: "n1", Owner: "n0",
 				Seized: true, EpochBefore: 3, EpochAfter: 6,
 				OldOwnerFenced: true,
@@ -384,7 +386,7 @@ func TestAdversarialCheckersFire(t *testing.T) {
 		cp := shallowCopy(res)
 		cp.LeaseRaces = append(cp.LeaseRaces, simulate.LeaseRaceStats{
 			Step: 0,
-			LeaseRace: cluster.LeaseRace{
+			LeaseRace: simulate.LeaseRace{
 				Room: "room-00000", Challenger: "n1", Owner: "n0",
 				Seized: false, EpochBefore: 3, EpochAfter: 3,
 			},

@@ -90,7 +90,7 @@ type FailoverStats struct {
 type LeaseRaceStats struct {
 	// Step is the 0-based scripted step of the StepSkewRace.
 	Step int `json:"step"`
-	cluster.LeaseRace
+	LeaseRace
 }
 
 // Delivery is one message observed at a client, in arrival order — the

@@ -56,17 +56,18 @@ const (
 	StepPartition
 	// StepCutShip severs one lineage's WAL ship stream (Step.Node)
 	// while its client edge stays up — the asymmetric partition. The
-	// node keeps serving and fsync'ing; its standby stops hearing from
-	// it until StepHealShip (requires Scenario.Cluster).
+	// node keeps serving and fsync'ing; every ship attempt to its
+	// standby fails (counted and surfaced) until StepHealShip (requires
+	// Scenario.Cluster).
 	StepCutShip
 	// StepHealShip reconnects a severed ship stream (and clears any
 	// injected sink fault); everything that accumulated while cut ships
-	// immediately.
+	// immediately, re-shipped through the incarnation's OnSync hook.
 	StepHealShip
-	// StepSinkFault injects a persistent apply error into one lineage's
-	// standby sink. Unlike StepCutShip the shipper keeps failing
-	// visibly (failure counter, Health report) until healed — or until
-	// a StepKillNode makes the lag a lossy promotion.
+	// StepSinkFault wedges one lineage's standby: every ship attempt
+	// fails with a persistent apply error, visibly (failure counter,
+	// Health report), until healed — or until a StepKillNode makes the
+	// lag a lossy promotion.
 	StepSinkFault
 	// StepSkewRace gives one lineage (Step.Node) a clock skew
 	// (Step.Skew) and has it race lease acquisition against every other
@@ -93,9 +94,9 @@ type Step struct {
 	// (e.g. "n1" — the base name, not an incarnation like "n1+2").
 	Node string
 	// Stage arms a deterministic crash point inside the failover that a
-	// StepKillNode triggers (0 = clean failover; see
-	// cluster.FailoverStage). The step then drives BOTH failover calls:
-	// the interrupted one and the resume.
+	// StepKillNode triggers (0 = clean failover; 1-4 are
+	// cluster.StageFenced..StageMidPromote). The step then drives BOTH
+	// failover calls: the interrupted one and the resume.
 	Stage int
 	// Skew is the challenger's clock offset for StepSkewRace.
 	Skew time.Duration

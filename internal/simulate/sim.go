@@ -333,30 +333,8 @@ func (r *runner) step(i int, st Step) error {
 	case StepCrash:
 		r.tr.step(i, "crash: process dies, journal unsealed; recover from WAL replay")
 		err = r.crash()
-	case StepKillNode:
-		if st.Stage > 0 {
-			r.tr.step(i, fmt.Sprintf("kill node %s: incarnation dies, failover crashes at stage %d and resumes", st.Node, st.Stage))
-		} else {
-			r.tr.step(i, fmt.Sprintf("kill node %s: incarnation dies, warm standby promoted after lease expiry", st.Node))
-		}
-		err = r.killNode(st)
-	case StepPartition:
-		r.tr.step(i, fmt.Sprintf("partition node %s: gateway links severed, resume-reconnect to same owner", st.Node))
-		err = r.partitionNode(st)
-	case StepCutShip:
-		r.tr.step(i, fmt.Sprintf("cut ship %s: WAL stream to standby severed, client edge stays up", st.Node))
-		err = r.cutShip(st)
-	case StepHealShip:
-		r.tr.step(i, fmt.Sprintf("heal ship %s: WAL stream reconnected, backlog ships", st.Node))
-		err = r.healShip(st)
-	case StepSinkFault:
-		r.tr.step(i, fmt.Sprintf("sink fault %s: standby rejects applies until healed", st.Node))
-		err = r.sinkFault(st)
-	case StepSkewRace:
-		r.tr.step(i, fmt.Sprintf("skew race %s: clock offset %s, race every other lineage's leases", st.Node, st.Skew))
-		err = r.skewRace(st)
 	default:
-		err = fmt.Errorf("unknown step kind %d", st.Kind)
+		err = r.clusterStep(i, st)
 	}
 	if err != nil {
 		return err
