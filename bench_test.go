@@ -704,6 +704,37 @@ func BenchmarkParserValid(b *testing.B) {
 	}
 }
 
+// BenchmarkParserMiss measures the parse-cache miss path: an uncached
+// ParseTokens, as the supervisor runs on a line it has not seen, over
+// seeded syntax-error lines (whose linkages skip null words) and
+// correct lines.
+func BenchmarkParserMiss(b *testing.B) {
+	sup, err := core.New(core.Config{DisableRecording: true, ParserOptions: uncached})
+	if err != nil {
+		b.Fatal(err)
+	}
+	parser := sup.Parser()
+	gen := workload.NewGenerator(25, sup.Ontology())
+	var syntaxError, correct [][]string
+	for i := 0; i < 256; i++ {
+		syntaxError = append(syntaxError, linkgrammar.Tokenize(gen.SyntaxError().Text))
+		correct = append(correct, linkgrammar.Tokenize(gen.Correct().Text))
+	}
+	for _, arm := range []struct {
+		name  string
+		lines [][]string
+	}{{"syntax-error", syntaxError}, {"correct", correct}} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := parser.ParseTokens(arm.lines[i%len(arm.lines)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkOntologyDistance isolates the semantic-distance query.
 func BenchmarkOntologyDistance(b *testing.B) {
 	onto := ontology.BuildCourseOntology()

@@ -102,16 +102,18 @@ func subscriptsMatch(rs, ls string) bool {
 
 // LinkLabel is the label given to a link joining connectors r and l: the
 // shared upper-case type plus the more specific of the two subscripts,
-// mirroring how stock link grammar names links.
+// mirroring how stock link grammar names links. Most labels spell a
+// prefix of one of the two names and share its bytes; only a label
+// whose '*' took the other subscript's letter is a new string.
 func LinkLabel(r, l Connector) string {
 	ru := upperLen(r.Name)
-	base := r.Name[:ru]
 	rs, ls := r.Name[ru:], l.Name[upperLen(l.Name):]
 	long, short := rs, ls
 	if len(ls) > len(rs) {
 		long, short = ls, rs
 	}
-	sub := make([]byte, 0, len(long))
+	var buf [32]byte
+	label := append(buf[:0], r.Name[:ru]...)
 	for i := 0; i < len(long); i++ {
 		ch := long[i]
 		if ch == '*' && i < len(short) {
@@ -120,7 +122,12 @@ func LinkLabel(r, l Connector) string {
 		if ch == '*' {
 			break
 		}
-		sub = append(sub, ch)
+		label = append(label, ch)
 	}
-	return base + string(sub)
+	for _, name := range [2]string{r.Name, l.Name} {
+		if len(label) <= len(name) && string(label) == name[:len(label)] {
+			return name[:len(label)]
+		}
+	}
+	return string(label)
 }

@@ -200,6 +200,14 @@ func (d *Dictionary) Disjuncts(word string) ([]*Disjunct, error) {
 	return ds, nil
 }
 
+// connCells returns the number of interned connector cells, the
+// largest connNode id handed out so far.
+func (d *Dictionary) connCells() int {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return len(d.interner.cells)
+}
+
 func (d *Dictionary) resolveMacro(name string) (*Expr, error) {
 	e, ok := d.macros[name]
 	if !ok {

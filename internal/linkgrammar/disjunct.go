@@ -50,13 +50,15 @@ func (d *Disjunct) String() string {
 }
 
 // connNode is one cell of a persistent connector list. Node identity
-// (pointer) keys the parser's memoization table, so lists must be
-// interned: equal suffixes share cells. typ and sub split conn.Name for
-// matchNodes: typ is the interned id of the upper-case type, sub the
-// subscript after it.
+// keys the parser's memoization table, so lists must be interned: equal
+// suffixes share cells. id is the cell's dense number, 1 for the first
+// cell interned and counting up (0 stands for the empty list in memo
+// keys). typ and sub split conn.Name for matchNodes: typ is the
+// interned id of the upper-case type, sub the subscript after it.
 type connNode struct {
 	conn Connector
 	next *connNode
+	id   uint32
 	typ  int32
 	sub  string
 }
@@ -95,7 +97,8 @@ func (in *connInterner) list(nearToFar []Connector) *connNode {
 				typ = int32(len(in.types))
 				in.types[c.Name[:u]] = typ
 			}
-			cell = &connNode{conn: c, next: head, typ: typ, sub: c.Name[u:]}
+			id := uint32(len(in.cells) + 1)
+			cell = &connNode{conn: c, next: head, id: id, typ: typ, sub: c.Name[u:]}
 			in.cells[key] = cell
 		}
 		head = cell

@@ -1,6 +1,7 @@
 package linkgrammar
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -60,5 +61,70 @@ func FuzzTokenize(f *testing.F) {
 		if q != strings.HasSuffix(trimmed, "?") {
 			t.Fatalf("EndsWithQuestionMark(%q) = %v", s, q)
 		}
+	})
+}
+
+// FuzzParseMatchesOracle checks the extractor against the oracle
+// (oracle_test.go) on arbitrary token streams. The first byte picks the
+// dictionary: odd bytes the double-link dictionary of
+// TestValidAppliesExclusionFilter, where the exclusion filter drops
+// counted linkages, even bytes the English dictionary. Every later byte
+// indexes the chosen dictionary's words plus one unknown word, up to
+// twelve tokens. ParseTokens must equal the oracle's Result (every
+// linkage's links, labels, connectors, null words, cost and order) and
+// Valid must agree with it.
+func FuzzParseMatchesOracle(f *testing.F) {
+	english, err := NewEnglishDictionary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	doubleLink := NewDictionary()
+	if err := doubleLink.LoadString(doubleLinkDict); err != nil {
+		f.Fatal(err)
+	}
+	type vocab struct {
+		p     *Parser
+		words []string
+	}
+	vocabs := [2]vocab{
+		{NewParser(english, Options{}), append(english.Words(), "zzqx")},
+		{NewParser(doubleLink, Options{}), append(doubleLink.Words(), "zzqx")},
+	}
+	index := func(v vocab, sentence ...string) []byte {
+		out := []byte{0}
+		if v.p == vocabs[1].p {
+			out[0] = 1
+		}
+		for _, w := range sentence {
+			i := slices.Index(v.words, w)
+			if i < 0 {
+				f.Fatalf("%q is not in the vocabulary", w)
+			}
+			out = append(out, byte(i))
+		}
+		return out
+	}
+	for _, s := range []string{
+		"the cat chased a mouse",
+		"the the student learns the lesson",
+		"the students learns the lesson",
+		"what is a stack",
+		"the zzqx has a zzqx",
+	} {
+		f.Add(index(vocabs[0], strings.Fields(s)...))
+	}
+	for _, s := range []string{"c b a", "c b a a", "a c b a", "c zzqx b a", "b c"} {
+		f.Add(index(vocabs[1], strings.Fields(s)...))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		v := vocabs[data[0]&1]
+		var tokens []string
+		for _, b := range data[1:min(len(data), 13)] {
+			tokens = append(tokens, v.words[int(b)%len(v.words)])
+		}
+		checkOracle(t, v.p, tokens)
 	})
 }

@@ -1,9 +1,10 @@
 package linkgrammar
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -47,11 +48,12 @@ type Parser struct {
 	cache *parseCache // nil when Options.CacheSize <= 0
 
 	// scratch pools per-parse working state (cache-key buffer, Valid's
-	// words, disjunct table, memoization map) so the steady-state parse
-	// path — the same workload the cache stats describe — reuses its
-	// large containers instead of reallocating them per sentence. Pooled
-	// scratch never escapes: everything a Result or Linkage retains
-	// (words, tokens, links) is freshly allocated.
+	// words, disjunct table, memoization map, extraction arena) so the
+	// steady-state parse path — the same workload the cache stats
+	// describe — reuses its large containers instead of reallocating
+	// them per sentence. Pooled scratch never escapes: everything a
+	// Result or Linkage retains (words, tokens, links) is freshly
+	// allocated.
 	scratch   sync.Pool
 	countHint atomic.Int64 // running average of memo-map size, sizes fresh maps
 }
@@ -59,9 +61,10 @@ type Parser struct {
 // parseScratch is the pooled working state of one ParseTokens or
 // Valid call.
 type parseScratch struct {
-	key   []byte
-	words []string // Valid's words; ParseTokens allocates what it retains
-	st    parseState
+	key     []byte
+	words   []string // Valid's words; ParseTokens allocates what it retains
+	unknown []int    // ParseTokens' unknown-word indices, copied out exactly
+	st      parseState
 }
 
 // NewParser returns a parser over dict with the given options. Zero
@@ -92,16 +95,17 @@ func NewParser(dict *Dictionary, opts Options) *Parser {
 // disjuncts, interned connector nodes) and returns it to the pool,
 // folding the observed memo size into the sizing hint for fresh maps.
 func (p *Parser) releaseScratch(sc *parseScratch) {
-	if sc.st.counts != nil {
+	st := &sc.st
+	if st.counts != nil {
 		hint := p.countHint.Load()
-		p.countHint.Store((3*hint + int64(len(sc.st.counts))) / 4)
-		clear(sc.st.counts)
+		p.countHint.Store((3*hint + int64(len(st.counts))) / 4)
+		clear(st.counts)
 	}
-	for i := range sc.st.disjuncts {
-		sc.st.disjuncts[i] = nil
-	}
+	clear(st.disjuncts)
+	clear(st.arena)
+	st.arena, st.stack, st.links, st.nulls, st.found = st.arena[:0], st.stack[:0], st.links[:0], st.nulls[:0], st.found[:0]
 	clear(sc.words)
-	sc.st.dict, sc.st.words = nil, nil
+	st.dict, st.words = nil, nil
 	p.scratch.Put(sc)
 }
 
@@ -159,34 +163,22 @@ func (p *Parser) ParseTokens(tokens []string) (*Result, error) {
 	st := &sc.st
 	words := st.words
 	res = &Result{Tokens: words[1:]}
+	sc.unknown = sc.unknown[:0]
 	for i, w := range tokens {
 		if !p.dict.Has(w) {
-			res.UnknownWords = append(res.UnknownWords, i)
+			sc.unknown = append(sc.unknown, i)
 		}
+	}
+	if len(sc.unknown) > 0 {
+		res.UnknownWords = slices.Clone(sc.unknown)
 	}
 
-	maxNulls := p.opts.MaxNulls
-	if maxNulls > len(tokens)-1 {
-		maxNulls = len(tokens) - 1
-	}
-	if maxNulls < 0 {
-		maxNulls = 0
-	}
+	budget, maxNulls := p.opts.MaxLinkages, p.maxNulls(len(tokens))
 	for nulls := 0; nulls <= maxNulls; nulls++ {
-		if st.countTotal(nulls) == 0 {
+		if st.countTotal(nulls) == 0 || st.extractTotal(nulls, budget, budget) == 0 {
 			continue
 		}
-		linkages := st.extractTotal(nulls, p.opts.MaxLinkages)
-		if len(linkages) == 0 {
-			continue
-		}
-		for _, lk := range linkages {
-			lk.Words = words
-		}
-		sort.SliceStable(linkages, func(i, j int) bool {
-			return linkages[i].Cost < linkages[j].Cost
-		})
-		res.Linkages = linkages
+		res.Linkages = st.linkages(words)
 		res.NullCount = nulls
 		break
 	}
@@ -202,8 +194,9 @@ func (p *Parser) ParseTokens(tokens []string) (*Result, error) {
 // Learning_Angel's repair probes (DESIGN.md D18). A cached Result
 // answers it; it never inserts into the cache. It counts at nulls = 0
 // only, and runs ParseTokens' bounded extraction only when that count
-// is non-zero, so the exclusion filter decides alike. A probe that
-// fails allocates nothing.
+// is non-zero, so the exclusion filter decides alike, and stops at the
+// first linkage the filter keeps, building none. A probe of an input
+// prepare accepts allocates nothing.
 func (p *Parser) Valid(tokens []string) bool {
 	sc := p.scratch.Get().(*parseScratch)
 	defer p.releaseScratch(sc)
@@ -215,18 +208,25 @@ func (p *Parser) Valid(tokens []string) bool {
 		return res.Valid()
 	}
 	st := &sc.st
-	return st.countTotal(0) != 0 && len(st.extractTotal(0, p.opts.MaxLinkages)) > 0
+	return st.countTotal(0) != 0 && st.extractTotal(0, p.opts.MaxLinkages, 1) > 0
+}
+
+// maxNulls is the null budget for a sentence of n tokens: at most
+// Options.MaxNulls, and never every token.
+func (p *Parser) maxNulls(n int) int {
+	return max(0, min(p.opts.MaxNulls, n-1))
 }
 
 // prepare is the prelude ParseTokens and Valid share. It rejects empty
 // and over-long inputs and returns the cached Result when the cache
 // holds tokens (with the key left in sc.key and the dictionary
 // generation it was read under). Otherwise it loads LEFT-WALL plus
-// tokens into sc.st.words with their pruned disjuncts, ready to count.
-// fresh allocates the words slice, which a Result retains (and
-// res.Tokens aliases); otherwise sc's pooled buffer holds it. Either
-// way the caller's tokens are copied and never retained, which keeps
-// pooled token slices safe to reuse.
+// tokens into sc.st.words with their pruned disjuncts and lays out the
+// count memo's key, ready to count; it rejects a sentence whose key
+// would not fit 64 bits. fresh allocates the words slice, which a
+// Result retains (and res.Tokens aliases); otherwise sc's pooled
+// buffer holds it. Either way the caller's tokens are copied and never
+// retained, which keeps pooled token slices safe to reuse.
 func (p *Parser) prepare(sc *parseScratch, tokens []string, fresh bool) (res *Result, gen uint64, err error) {
 	if len(tokens) == 0 {
 		return nil, 0, fmt.Errorf("empty sentence")
@@ -256,7 +256,7 @@ func (p *Parser) prepare(sc *parseScratch, tokens []string, fresh bool) (res *Re
 		sc.st.disjuncts = make([][]*Disjunct, len(words))
 	}
 	if sc.st.counts == nil {
-		sc.st.counts = make(map[countKey]int64, p.countHint.Load())
+		sc.st.counts = make(map[uint64]int64, p.countHint.Load())
 	}
 	st := &sc.st
 	st.dict = p.dict
@@ -268,6 +268,12 @@ func (p *Parser) prepare(sc *parseScratch, tokens []string, fresh bool) (res *Re
 			return nil, gen, err
 		}
 		st.disjuncts[i] = ds
+	}
+	// Every cell of this parse's lists was interned by now, so its id
+	// is at most the interner's size.
+	var ok bool
+	if st.keys, ok = newKeyLayout(len(words), p.dict.connCells(), p.maxNulls(len(tokens))); !ok {
+		return nil, gen, fmt.Errorf("sentence has %d tokens, too many for the parser's 64-bit memo key", len(tokens))
 	}
 	if !p.opts.DisablePruning {
 		st.disjuncts = pruneDisjuncts(st.disjuncts)
@@ -282,13 +288,55 @@ type parseState struct {
 	dict      *Dictionary
 	words     []string
 	disjuncts [][]*Disjunct
-	counts    map[countKey]int64
+	counts    map[uint64]int64 // count's memo, keyed by keys.key
+	keys      keyLayout
+
+	// Extraction scratch. arena holds the partial-linkage trees; stack
+	// holds the partials (arena indices) of the regions being
+	// enumerated; links (arena indices of link nodes) and nulls hold
+	// the flattened linkages in found.
+	arena []pnode
+	stack []int32
+	links []int32
+	nulls []int
+	found []foundLinkage
 }
 
-type countKey struct {
-	a, b   int16
-	la, lb *connNode
-	nulls  int8
+// keyLayout packs count's arguments into one uint64 memo key. From the
+// top the fields are a and b (word indices), la and lb (connNode ids,
+// 0 for an empty list) and nulls. Each field is as wide as its largest
+// value in this parse needs, so distinct arguments give distinct keys.
+type keyLayout struct {
+	aShift, bShift, laShift, lbShift uint8
+}
+
+// newKeyLayout sizes the fields for word indices up to words, connector
+// ids up to cells and null counts up to nulls. It reports false when
+// the fields need more than 64 bits.
+func newKeyLayout(words, cells, nulls int) (keyLayout, bool) {
+	wb, cb, nb := bits.Len(uint(words)), bits.Len(uint(cells)), bits.Len(uint(nulls))
+	if 2*wb+2*cb+nb > 64 {
+		return keyLayout{}, false
+	}
+	return keyLayout{
+		aShift:  uint8(nb + 2*cb + wb),
+		bShift:  uint8(nb + 2*cb),
+		laShift: uint8(nb + cb),
+		lbShift: uint8(nb),
+	}, true
+}
+
+func (k keyLayout) key(a, b int, la, lb *connNode, nulls int) uint64 {
+	return uint64(a)<<k.aShift | uint64(b)<<k.bShift |
+		uint64(la.memoID())<<k.laShift | uint64(lb.memoID())<<k.lbShift | uint64(nulls)
+}
+
+// memoID is the cell's id, or 0 for the empty list.
+func (c *connNode) memoID() uint32 {
+	if c == nil {
+		return 0
+	}
+	return c.id
 }
 
 const countCap = int64(1) << 40
@@ -355,7 +403,7 @@ func (st *parseState) count(a, b int, la, lb *connNode, nulls int) int64 {
 	if nulls > inner {
 		return 0
 	}
-	key := countKey{a: int16(a), b: int16(b), la: la, lb: lb, nulls: int8(nulls)}
+	key := st.keys.key(a, b, la, lb, nulls)
 	if v, ok := st.counts[key]; ok {
 		return v
 	}
@@ -431,45 +479,49 @@ func matchVariants(x, y *connNode) []matchVariant {
 	return vs
 }
 
-// partial is an intermediate extraction result for a region.
-type partial struct {
-	links []Link
-	nulls []int // word indices skipped (internal indexing, wall = 0)
-	cost  int
+// pnode is one node of a partial-linkage tree in parseState.arena: the
+// link from word lo to word hi through connectors lc and rc, or, when
+// lc is nil, the run of null words lo..hi-1. kids are the partials the
+// node extends (arena indices, or noPartial) and cost is the summed
+// disjunct cost of the whole tree. Extending partials costs one node;
+// the trees below it are shared, not copied.
+type pnode struct {
+	kids   [2]int32
+	lo, hi int32
+	cost   int
+	lc, rc *connNode
 }
 
-func crossPartials(ls, rs []partial, budget int) []partial {
-	out := make([]partial, 0, min(budget, len(ls)*len(rs)))
-	for _, l := range ls {
-		for _, r := range rs {
-			if len(out) >= budget {
-				return out
-			}
-			p := partial{
-				links: make([]Link, 0, len(l.links)+len(r.links)),
-				nulls: append(append([]int{}, l.nulls...), r.nulls...),
-				cost:  l.cost + r.cost,
-			}
-			p.links = append(append(p.links, l.links...), r.links...)
-			out = append(out, p)
+// noPartial is the empty partial: no links, no null words, cost 0.
+const noPartial int32 = -1
+
+// grow adds node n, extending partials l and r, to the arena.
+func (st *parseState) grow(n pnode, l, r int32) int32 {
+	n.kids = [2]int32{l, r}
+	for _, k := range n.kids {
+		if k != noPartial {
+			n.cost += st.arena[k].cost
 		}
 	}
-	return out
+	st.arena = append(st.arena, n)
+	return int32(len(st.arena) - 1)
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+// foundLinkage is a linkage extractTotal kept: its links are
+// st.links[links[0]:links[1]] and its null words st.nulls[nulls[0]:nulls[1]],
+// both sorted.
+type foundLinkage struct {
+	links, nulls [2]int
+	cost         int
 }
 
 // extractTotal enumerates up to `budget` full-sentence linkages with
 // exactly `nulls` skipped words, filtering any that violate the
-// exclusion meta-rule (possible only via multi-connectors).
-func (st *parseState) extractTotal(nulls, budget int) []*Linkage {
+// exclusion meta-rule (possible only via multi-connectors). It keeps
+// them in st.found, stops once it has kept want, and returns how many
+// it kept; linkages materializes them.
+func (st *parseState) extractTotal(nulls, budget, want int) int {
 	n := len(st.words)
-	var out []*Linkage
 	for _, d0 := range st.disjuncts[0] {
 		if d0.leftList != nil {
 			continue
@@ -477,146 +529,201 @@ func (st *parseState) extractTotal(nulls, budget int) []*Linkage {
 		if st.count(0, n, d0.rightList, nil, nulls) == 0 {
 			continue
 		}
-		for _, p := range st.extract(0, n, d0.rightList, nil, nulls, budget-len(out)) {
-			lk := &Linkage{
-				Links: p.links,
-				Cost:  p.cost + d0.Cost,
-			}
-			lk.NullWords = append(lk.NullWords, p.nulls...)
-			sort.Ints(lk.NullWords)
-			sort.Slice(lk.Links, func(i, j int) bool {
-				if lk.Links[i].Left != lk.Links[j].Left {
-					return lk.Links[i].Left < lk.Links[j].Left
-				}
-				return lk.Links[i].Right < lk.Links[j].Right
-			})
-			if lk.violatesExclusion() {
-				continue
-			}
-			out = append(out, lk)
-			if len(out) >= budget {
-				return out
+		ps := st.extract(0, n, d0.rightList, nil, nulls, budget-len(st.found))
+		for _, p := range st.stack[ps:] {
+			if st.keep(p, d0.Cost) && len(st.found) >= want {
+				break
 			}
 		}
+		st.stack = st.stack[:ps]
+		if len(st.found) >= want {
+			break
+		}
+	}
+	return len(st.found)
+}
+
+// keep flattens the full-sentence partial p, whose LEFT-WALL disjunct
+// costs cost, sorts its links by (Left, Right) and its null words, and
+// keeps it in st.found unless two of its links join the same words.
+func (st *parseState) keep(p int32, cost int) bool {
+	f := foundLinkage{links: [2]int{len(st.links)}, nulls: [2]int{len(st.nulls)}, cost: cost}
+	if p != noPartial {
+		f.cost += st.arena[p].cost
+	}
+	st.flatten(p)
+	f.links[1], f.nulls[1] = len(st.links), len(st.nulls)
+	links := st.links[f.links[0]:]
+	slices.SortFunc(links, func(x, y int32) int {
+		a, b := &st.arena[x], &st.arena[y]
+		if a.lo != b.lo {
+			return cmp.Compare(a.lo, b.lo)
+		}
+		return cmp.Compare(a.hi, b.hi)
+	})
+	for i := 1; i < len(links); i++ {
+		a, b := &st.arena[links[i-1]], &st.arena[links[i]]
+		if a.lo == b.lo && a.hi == b.hi {
+			st.links, st.nulls = st.links[:f.links[0]], st.nulls[:f.nulls[0]]
+			return false
+		}
+	}
+	slices.Sort(st.nulls[f.nulls[0]:])
+	st.found = append(st.found, f)
+	return true
+}
+
+// flatten appends the link nodes of partial p to st.links and its null
+// words to st.nulls.
+func (st *parseState) flatten(p int32) {
+	for p != noPartial {
+		n := &st.arena[p]
+		if n.lc == nil {
+			for w := n.lo; w < n.hi; w++ {
+				st.nulls = append(st.nulls, int(w))
+			}
+		} else {
+			st.links = append(st.links, p)
+		}
+		st.flatten(n.kids[0])
+		p = n.kids[1]
+	}
+}
+
+// linkages materializes st.found over words, cheapest first (stable
+// on cost), into slices of exact size: one allocation each for the
+// *Linkage slice, the Linkages, their links and their null words, plus
+// a string for each link label that is not a prefix of one of its
+// connector names (LinkLabel). Labels are made here, for returned
+// links only.
+func (st *parseState) linkages(words []string) []*Linkage {
+	slices.SortStableFunc(st.found, func(x, y foundLinkage) int { return cmp.Compare(x.cost, y.cost) })
+	out := make([]*Linkage, len(st.found))
+	lks := make([]Linkage, len(st.found))
+	links := make([]Link, len(st.links))
+	nulls := make([]int, len(st.nulls))
+	for i, f := range st.found {
+		lk := &lks[i]
+		lk.Words, lk.Cost = words, f.cost
+		if k := f.links[1] - f.links[0]; k > 0 {
+			lk.Links, links = links[:k:k], links[k:]
+			for j, id := range st.links[f.links[0]:f.links[1]] {
+				n := &st.arena[id]
+				lk.Links[j] = Link{
+					Left: int(n.lo), Right: int(n.hi),
+					Label: LinkLabel(n.lc.conn, n.rc.conn),
+					LConn: n.lc.conn, RConn: n.rc.conn,
+				}
+			}
+		}
+		if k := f.nulls[1] - f.nulls[0]; k > 0 {
+			lk.NullWords, nulls = nulls[:k:k], nulls[k:]
+			copy(lk.NullWords, st.nulls[f.nulls[0]:f.nulls[1]])
+		}
+		out[i] = lk
 	}
 	return out
 }
 
-// extract mirrors count but materializes the linkages.
-func (st *parseState) extract(a, b int, la, lb *connNode, nulls, budget int) []partial {
+// extract mirrors count but enumerates up to budget partials of the
+// region, in count's order, pushing their arena indices onto st.stack.
+// It returns where on the stack they start; the caller pops them.
+func (st *parseState) extract(a, b int, la, lb *connNode, nulls, budget int) int {
+	start := len(st.stack)
 	if budget <= 0 {
-		return nil
+		return start
 	}
 	if b == a+1 {
 		if la == nil && lb == nil && nulls == 0 {
-			return []partial{{}}
+			st.stack = append(st.stack, noPartial)
 		}
-		return nil
+		return start
 	}
 	if la == nil && lb == nil {
-		if nulls != b-a-1 {
-			return nil
+		if nulls == b-a-1 {
+			st.stack = append(st.stack, st.grow(pnode{lo: int32(a + 1), hi: int32(b)}, noPartial, noPartial))
 		}
-		p := partial{nulls: make([]int, 0, nulls)}
-		for w := a + 1; w < b; w++ {
-			p.nulls = append(p.nulls, w)
-		}
-		return []partial{p}
+		return start
 	}
 	if st.count(a, b, la, lb, nulls) == 0 {
-		return nil
-	}
-
-	var out []partial
-	emit := func(link Link, ls, rs []partial) {
-		for _, p := range crossPartials(ls, rs, budget-len(out)) {
-			p.links = append(p.links, link)
-			out = append(out, p)
-			if len(out) >= budget {
-				return
-			}
-		}
+		return start
 	}
 
 	if la != nil {
-		for w := a + 1; w < b && len(out) < budget; w++ {
+		for w := a + 1; w < b && len(st.stack)-start < budget; w++ {
 			for _, d := range st.disjuncts[w] {
 				dl := d.leftList
 				if dl == nil || !matchNodes(la, dl) {
 					continue
 				}
-				link := Link{
-					Left: a, Right: w,
-					Label: LinkLabel(la.conn, dl.conn),
-					LConn: la.conn, RConn: dl.conn,
-				}
+				link := pnode{lo: int32(a), hi: int32(w), cost: d.Cost, lc: la, rc: dl}
 				for _, v := range matchVariants(la, dl) {
-					for k1 := 0; k1 <= nulls && len(out) < budget; k1++ {
+					for k1 := 0; k1 <= nulls && len(st.stack)-start < budget; k1++ {
 						if st.count(a, w, v.x, v.y, k1) == 0 ||
 							st.count(w, b, d.rightList, lb, nulls-k1) == 0 {
 							continue
 						}
-						ls := st.extract(a, w, v.x, v.y, k1, budget-len(out))
-						rs := st.extract(w, b, d.rightList, lb, nulls-k1, budget-len(out))
-						withCost := make([]partial, len(rs))
-						for i, r := range rs {
-							r.cost += d.Cost
-							withCost[i] = r
-						}
-						emit(link, ls, withCost)
+						room := budget - (len(st.stack) - start)
+						ls := st.extract(a, w, v.x, v.y, k1, room)
+						rs := st.extract(w, b, d.rightList, lb, nulls-k1, room)
+						st.join(link, ls, rs, room)
 					}
 				}
 			}
 		}
-		if lb != nil && matchNodes(la, lb) && len(out) < budget {
-			link := Link{
-				Left: a, Right: b,
-				Label: LinkLabel(la.conn, lb.conn),
-				LConn: la.conn, RConn: lb.conn,
-			}
+		if lb != nil && matchNodes(la, lb) && len(st.stack)-start < budget {
+			// Direct link a–b: both heads are the farthest connectors of
+			// their words within this region.
+			link := pnode{lo: int32(a), hi: int32(b), lc: la, rc: lb}
 			for _, v := range matchVariants(la, lb) {
 				if st.count(a, b, v.x, v.y, nulls) == 0 {
 					continue
 				}
-				for _, p := range st.extract(a, b, v.x, v.y, nulls, budget-len(out)) {
-					p.links = append(p.links, link)
-					out = append(out, p)
-					if len(out) >= budget {
-						return out
-					}
+				ps := st.extract(a, b, v.x, v.y, nulls, budget-(len(st.stack)-start))
+				for i := ps; i < len(st.stack); i++ {
+					st.stack[i] = st.grow(link, st.stack[i], noPartial)
+				}
+				if len(st.stack)-start >= budget {
+					break
 				}
 			}
 		}
 	} else {
-		for w := a + 1; w < b && len(out) < budget; w++ {
+		for w := a + 1; w < b && len(st.stack)-start < budget; w++ {
 			for _, d := range st.disjuncts[w] {
 				dr := d.rightList
 				if dr == nil || !matchNodes(dr, lb) {
 					continue
 				}
-				link := Link{
-					Left: w, Right: b,
-					Label: LinkLabel(dr.conn, lb.conn),
-					LConn: dr.conn, RConn: lb.conn,
-				}
+				link := pnode{lo: int32(w), hi: int32(b), cost: d.Cost, lc: dr, rc: lb}
 				for _, v := range matchVariants(dr, lb) {
-					for k1 := 0; k1 <= nulls && len(out) < budget; k1++ {
+					for k1 := 0; k1 <= nulls && len(st.stack)-start < budget; k1++ {
 						if st.count(a, w, nil, d.leftList, k1) == 0 ||
 							st.count(w, b, v.x, v.y, nulls-k1) == 0 {
 							continue
 						}
-						ls := st.extract(a, w, nil, d.leftList, k1, budget-len(out))
-						rs := st.extract(w, b, v.x, v.y, nulls-k1, budget-len(out))
-						withCost := make([]partial, len(ls))
-						for i, l := range ls {
-							l.cost += d.Cost
-							withCost[i] = l
-						}
-						emit(link, withCost, rs)
+						room := budget - (len(st.stack) - start)
+						ls := st.extract(a, w, nil, d.leftList, k1, room)
+						rs := st.extract(w, b, v.x, v.y, nulls-k1, room)
+						st.join(link, ls, rs, room)
 					}
 				}
 			}
 		}
 	}
-	return out
+	return start
+}
+
+// join extends each pair of the left partials stack[ls:rs] and the
+// right partials stack[rs:], left-major, with the node link, up to room
+// of them, and leaves them on the stack in place of ls and rs.
+func (st *parseState) join(link pnode, ls, rs, room int) {
+	end := len(st.stack)
+	for i := ls; i < rs; i++ {
+		for j := rs; j < end && len(st.stack)-end < room; j++ {
+			st.stack = append(st.stack, st.grow(link, st.stack[i], st.stack[j]))
+		}
+	}
+	made := copy(st.stack[ls:], st.stack[end:])
+	st.stack = st.stack[:ls+made]
 }

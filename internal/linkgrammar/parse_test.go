@@ -1,6 +1,8 @@
 package linkgrammar
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -211,4 +213,114 @@ func TestDirectionsMustOppose(t *testing.T) {
 	if Match(a, b) {
 		t.Error("two right-pointing connectors must not match")
 	}
+}
+
+// TestMemoKeyLayoutEdge drives the count memo's packed key to its
+// 64-bit budget. At exactly 64 bits the largest value of every field
+// fills the key, every combination of extreme field values gives a
+// distinct key, and one more bit in any field is refused.
+func TestMemoKeyLayoutEdge(t *testing.T) {
+	const words, cells, nulls = 1<<16 - 1, 1<<12 - 1, 1<<8 - 1 // 2×16 + 2×12 + 8 bits
+	k, ok := newKeyLayout(words, cells, nulls)
+	if !ok {
+		t.Fatal("a 64-bit layout was refused")
+	}
+	for _, over := range [][3]int{{words + 1, cells, nulls}, {words, cells + 1, nulls}, {words, cells, nulls + 1}} {
+		if _, ok := newKeyLayout(over[0], over[1], over[2]); ok {
+			t.Errorf("newKeyLayout%v accepted a 65-bit layout", over)
+		}
+	}
+	cell := func(id int) *connNode {
+		if id == 0 {
+			return nil
+		}
+		return &connNode{id: uint32(id)}
+	}
+	if got := k.key(words, words, cell(cells), cell(cells), nulls); got != math.MaxUint64 {
+		t.Fatalf("largest key = %#x, want all 64 bits set", got)
+	}
+	seen := make(map[uint64][5]int)
+	wordVals, cellVals, nullVals := []int{0, 1, words / 2, words - 1, words}, []int{0, 1, cells/2 + 1, cells}, []int{0, 1, nulls}
+	for _, a := range wordVals {
+		for _, b := range wordVals {
+			for _, la := range cellVals {
+				for _, lb := range cellVals {
+					for _, n := range nullVals {
+						args := [5]int{a, b, la, lb, n}
+						key := k.key(a, b, cell(la), cell(lb), n)
+						if prev, dup := seen[key]; dup {
+							t.Fatalf("key %#x shared by %v and %v", key, prev, args)
+						}
+						seen[key] = args
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestParseRefusesSentencesPastTheMemoKey gives a parser limits that
+// admit a sentence too long for the 64-bit memo key: ParseTokens
+// refuses it with an error and Valid says false, rather than parsing
+// with colliding keys.
+func TestParseRefusesSentencesPastTheMemoKey(t *testing.T) {
+	dict, err := NewEnglishDictionary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range dict.Words() {
+		if _, err := dict.Disjuncts(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cells := dict.connCells(); cells < 128 {
+		t.Fatalf("the English dictionary interned %d connector cells, want 8 bits of id", cells)
+	}
+	p := NewParser(dict, Options{MaxTokens: 1 << 20, MaxNulls: 1 << 20})
+	tokens := make([]string, 1<<16)
+	for i := range tokens {
+		tokens[i] = "the"
+	}
+	// 2×17 bits of word index, 16 of null count and 2×8 of connector id.
+	if _, err := p.ParseTokens(tokens); err == nil || !strings.Contains(err.Error(), "memo key") {
+		t.Fatalf("ParseTokens of %d tokens: err = %v, want the memo-key limit", len(tokens), err)
+	}
+	if p.Valid(tokens) {
+		t.Fatal("Valid accepted a sentence past the memo key")
+	}
+}
+
+// TestMemoKeyWidensWithTheInterner grows the connector interner past a
+// power of two with Define between parses on pooled scratch, so the
+// key's id fields widen between two parses, and checks both parses
+// against the oracle.
+func TestMemoKeyWidensWithTheInterner(t *testing.T) {
+	dict, err := NewEnglishDictionary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewParser(dict, Options{})
+	tokens := Tokenize("the the student learns the lesson about the stack")
+	checkOracle(t, p, tokens)
+	width := func() uint8 {
+		sc := p.scratch.Get().(*parseScratch)
+		defer p.releaseScratch(sc)
+		if _, _, err := p.prepare(sc, tokens, false); err != nil {
+			t.Fatal(err)
+		}
+		return sc.st.keys.laShift - sc.st.keys.lbShift
+	}
+	before := width()
+	for i := 0; width() == before; i++ {
+		word := fmt.Sprintf("zork%d", i)
+		conn := fmt.Sprintf("ZK%c%c", 'a'+i%26, 'a'+i/26%26)
+		if err := dict.Define(word, conn+"+ or "+conn+"-"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dict.Disjuncts(word); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkOracle(t, p, tokens)
+	checkOracle(t, p, append(Tokenize("the student learns the"), "zork0"))
 }

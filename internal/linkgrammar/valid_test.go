@@ -164,6 +164,29 @@ func TestValidFailingProbeAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestValidPassingProbeAllocatesNothing: a probe that parses runs the
+// bounded extraction on pooled scratch and stops at the first linkage
+// the exclusion filter keeps, building none, so it allocates nothing
+// either.
+func TestValidPassingProbeAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled scratch at random")
+	}
+	p := cachedParser(t, 64)
+	probe := Tokenize("the student learns the lesson about the stack")
+	if !p.Valid(probe) {
+		t.Fatal("probe should pass")
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if !p.Valid(probe) {
+			t.Fatal("probe should pass")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("passing probe allocated %.1f times per run, want 0", allocs)
+	}
+}
+
 // TestMatchNodesEqualsMatch checks the interned connector match against
 // the reference Match for every ordered pair of interned cells of the
 // English dictionary, and again after a Define brings new connector
@@ -213,8 +236,7 @@ func TestMatchNodesEqualsMatch(t *testing.T) {
 // run the same extraction to reject it too.
 func TestValidAppliesExclusionFilter(t *testing.T) {
 	dict := NewDictionary()
-	src := "LEFT-WALL: W+; a: {W-} & @Y-; b: {W-} & @X-; c: {W-} & X+ & @Y+ & Y+;"
-	if err := dict.LoadString(src); err != nil {
+	if err := dict.LoadString(doubleLinkDict); err != nil {
 		t.Fatal(err)
 	}
 	p := NewParser(dict, Options{})
@@ -237,5 +259,72 @@ func TestValidAppliesExclusionFilter(t *testing.T) {
 	}
 	if p.Valid(tokens) {
 		t.Error("Valid accepted a linkage that violates exclusion")
+	}
+}
+
+// resultAllocs counts the allocations an uncached ParseTokens makes for
+// the Result it returns: the words (Tokens aliases them), the Result,
+// its UnknownWords and, when it has linkages, the *Linkage slice, the
+// Linkages, their links, their null words, and every label that is not
+// a prefix of one of its connector names (LinkLabel shares those).
+func resultAllocs(res *Result) int {
+	n := 2
+	if len(res.UnknownWords) > 0 {
+		n++
+	}
+	if len(res.Linkages) == 0 {
+		return n
+	}
+	n += 2
+	links, nulls := 0, 0
+	for _, lk := range res.Linkages {
+		links += len(lk.Links)
+		nulls += len(lk.NullWords)
+		for _, l := range lk.Links {
+			if !strings.HasPrefix(l.LConn.Name, l.Label) && !strings.HasPrefix(l.RConn.Name, l.Label) {
+				n++
+			}
+		}
+	}
+	if links > 0 {
+		n++
+	}
+	if nulls > 0 {
+		n++
+	}
+	return n
+}
+
+// TestParseTokensAllocatesOnlyTheResult pins the parse-cache miss path:
+// an uncached ParseTokens allocates what its Result keeps and nothing
+// else, on a syntax-error line (null-word linkages) and a correct one.
+func TestParseTokensAllocatesOnlyTheResult(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled scratch at random")
+	}
+	dict, err := NewEnglishDictionary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewParser(dict, Options{})
+	for _, line := range []string{
+		"the the student learns the lesson about the stack",
+		"the student learns the lesson about the stack",
+	} {
+		tokens := Tokenize(line)
+		res, err := p.ParseTokens(tokens)
+		if err != nil || len(res.Linkages) == 0 {
+			t.Fatalf("%q: %v, %d linkages", line, err, len(res.Linkages))
+		}
+		want := resultAllocs(res)
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := p.ParseTokens(tokens); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%q: %d nulls, %d linkages, %.1f allocations", line, res.NullCount, len(res.Linkages), allocs)
+		if allocs != float64(want) {
+			t.Errorf("%q (%d nulls, %d linkages): %.1f allocations per parse, want %d", line, res.NullCount, len(res.Linkages), allocs, want)
+		}
 	}
 }
