@@ -34,10 +34,12 @@
 //	evalharness -exp E16 -seed 7 -json    # cluster failover drill + chaos sweep
 //	evalharness -exp E17 -seed 7 -json    # adversarial chaos: partitions, staged crashes, skew
 //	evalharness -exp E10,E11,E12,E13 -json  # one JSON array: the CI perf trajectory
+//	evalharness -exp all -json              # every experiment with a JSON result (E10..E17)
 //
-// A comma-separated -exp list runs each experiment in order; with -json
-// the output is a single JSON array of {"experiment", "result"} objects
-// (the bench_trajectory.json artifact in CI).
+// A comma-separated -exp list runs each experiment in order, and names
+// are case-insensitive; with -json the output is a single JSON array of
+// {"experiment", "result"} objects (the bench_trajectory.json artifact
+// in CI). Text output prints the same result that -json marshals.
 package main
 
 import (
@@ -61,14 +63,15 @@ func main() {
 	)
 	flag.Parse()
 	p := params{n: *n, seed: *seed, rooms: *rooms, json: *jsonFlag}
-	// E14 defaults to its population-scale room count unless -rooms was
-	// given explicitly (the shared default of 8 is an E9-era knob).
+	// The chaos sweeps (E14, E16, E17) default to their own population
+	// size unless -rooms was given explicitly (the shared default of 8
+	// is an E9-era knob).
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "rooms" {
 			p.roomsSet = true
 		}
 	})
-	if err := run(strings.ToUpper(*exp), p); err != nil {
+	if err := run(*exp, p); err != nil {
 		fmt.Fprintln(os.Stderr, "evalharness:", err)
 		os.Exit(1)
 	}
@@ -83,26 +86,105 @@ type params struct {
 	json     bool
 }
 
-// allExperiments is the canonical order.
-var allExperiments = []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17"}
+// sweepRooms is the chaos-sweep population: -rooms when given, else 0
+// so the experiment applies its own default.
+func (p params) sweepRooms() int {
+	if p.roomsSet {
+		return p.rooms
+	}
+	return 0
+}
 
-// textRunners print human-readable tables; jsonResults produce the
-// machine-readable result objects for the experiments that support
-// -json (the perf-trajectory artifacts).
-var (
-	textRunners = map[string]func(params) error{
-		"E1": runE1, "E2": runE2, "E3": runE3, "E4": runE4,
-		"E5": runE5, "E6": runE6, "E7": runE7, "E8": runE8,
-		"E9": runE9, "E10": runE10, "E11": runE11, "E12": runE12,
-		"E13": runE13, "E14": runE14, "E15": runE15, "E16": runE16,
-		"E17": runE17,
+// experiment is one row of the registry. Text-only experiments (E1–E9)
+// print their own tables; the others produce a result that -json
+// marshals and print renders as text.
+type experiment struct {
+	name   string
+	title  string
+	text   func(params) error
+	result func(params) (any, error)
+	print  func(any) error
+}
+
+// withResult builds the row of an experiment that has a JSON result.
+func withResult[R any](name, title string, result func(params) (R, error), print func(R) error) experiment {
+	return experiment{
+		name:   name,
+		title:  title,
+		result: func(p params) (any, error) { return result(p) },
+		print:  func(r any) error { return print(r.(R)) },
 	}
-	jsonResults = map[string]func(params) (interface{}, error){
-		"E10": resultE10, "E11": resultE11, "E12": resultE12,
-		"E13": resultE13, "E14": resultE14, "E15": resultE15,
-		"E16": resultE16, "E17": resultE17,
+}
+
+// experiments is the registry, in canonical order.
+var experiments = []experiment{
+	{name: "E1", title: "parser correctness on grammatical sentences (Fig. 1-2)", text: runE1},
+	{name: "E2", title: "Learning_Angel syntax-error detection (Fig. 4)", text: runE2},
+	{name: "E3", title: "Semantic Agent: interrogative-sentence detection (Fig. 5, §4.3)", text: runE3},
+	{name: "E4", title: "QA system answer rate per template (Fig. 6, §4.4)", text: runE4},
+	{name: "E5", title: "FAQ accumulation vs dialogue volume (§4.4 mining)", text: runE5},
+	{name: "E6", title: "end-to-end chat room over TCP: supervision ablation (Fig. 3)", text: runE6},
+	{name: "E7", title: "ablation: ontology-distance vs Semantic Link Grammar (§4.3)", text: runE7},
+	{name: "E8", title: "corpus growth vs suggestion quality (§1 instructor-off problem)", text: runE8},
+	{name: "E9", title: "sharded supervision pipeline: concurrent rooms, parse cache (§4)", text: runE9},
+	withResult("E10", "lock-free snapshot read path (D8)", func(p params) (*eval.E10Result, error) {
+		return eval.RunE10(eval.E10Config{QueriesPerWorker: p.n * 20, Seed: p.seed})
+	}, printE10),
+	withResult("E11", "write-ahead journaling overhead + crash recovery (D9)", func(p params) (*eval.E11Result, error) {
+		return eval.RunE11(eval.E11Config{Rooms: p.rooms, MessagesPerRoom: p.n / 10, Seed: p.seed})
+	}, printE11),
+	withResult("E12", "overload shedding: open-loop load at N× capacity (D10)", func(p params) (*eval.E12Result, error) {
+		return eval.RunE12(eval.E12Config{Rooms: p.rooms, Seed: p.seed})
+	}, printE12),
+	withResult("E13", "scenario matrix: per-persona detection precision/recall (D11)", func(p params) (*eval.E13Result, error) {
+		return eval.RunE13(eval.E13Config{Rooms: p.rooms, Turns: max(p.n/100, 2), Seed: p.seed})
+	}, printE13),
+	withResult("E14", "population-scale chaos sweep: generated scenarios vs invariants (D12)", func(p params) (*eval.E14Result, error) {
+		return eval.RunE14(eval.E14Config{Seed: p.seed, Rooms: p.sweepRooms()})
+	}, printE14),
+	withResult("E15", "wire-to-verdict: text vs binary framing over TCP (D13)", func(p params) (*eval.E15Result, error) {
+		// -n scales each client's script (default 1000 → 125
+		// lines/client across the 4×2 population).
+		return eval.RunE15(eval.E15Config{MessagesEach: p.n / 8, Seed: p.seed})
+	}, printE15),
+	withResult("E16", "cluster failover: golden vs fabric vs mid-session owner kill (D15)", func(p params) (*eval.E16Result, error) {
+		return eval.RunE16(eval.E16Config{Seed: p.seed, Rooms: p.sweepRooms()})
+	}, printE16),
+	withResult("E17", "adversarial cluster chaos: partitions, staged crashes, lag, skew (D16)", func(p params) (*eval.E17Result, error) {
+		return eval.RunE17(eval.E17Config{Seed: p.seed, Rooms: p.sweepRooms()})
+	}, printE17),
+}
+
+// selectExperiments resolves a comma-separated -exp list, case-
+// insensitively, into registry rows in the order given. "all" is every
+// row, or with -json every row that has a JSON result.
+func selectExperiments(arg string, jsonOut bool) ([]experiment, error) {
+	var out []experiment
+	if strings.EqualFold(strings.TrimSpace(arg), "all") {
+		for _, e := range experiments {
+			if !jsonOut || e.result != nil {
+				out = append(out, e)
+			}
+		}
+		return out, nil
 	}
-)
+next:
+	for _, name := range strings.Split(arg, ",") {
+		name = strings.ToUpper(strings.TrimSpace(name))
+		for _, e := range experiments {
+			if e.name != name {
+				continue
+			}
+			if jsonOut && e.result == nil {
+				return nil, fmt.Errorf("%s does not support -json (supported: E10..E17)", name)
+			}
+			out = append(out, e)
+			continue next
+		}
+		return nil, fmt.Errorf("unknown experiment %q (want E1..E17, a comma-separated list, or all)", name)
+	}
+	return out, nil
+}
 
 // trajectoryEntry wraps one experiment's result in the combined-JSON
 // output. Seed echoes the -seed the run was invoked with, so any
@@ -119,31 +201,19 @@ type trajectoryEntry struct {
 type failer interface{ Failed() error }
 
 func run(expArg string, p params) error {
-	names := strings.Split(expArg, ",")
-	for i, name := range names {
-		names[i] = strings.TrimSpace(name)
-	}
-	if len(names) == 1 && names[0] == "ALL" {
-		names = allExperiments
-	}
-	for _, name := range names {
-		if _, ok := textRunners[name]; !ok {
-			return fmt.Errorf("unknown experiment %q (want E1..E17, a comma-separated list, or all)", name)
-		}
+	exps, err := selectExperiments(expArg, p.json)
+	if err != nil {
+		return err
 	}
 
 	if p.json {
 		var entries []trajectoryEntry
-		for _, name := range names {
-			getter, ok := jsonResults[name]
-			if !ok {
-				return fmt.Errorf("%s does not support -json (supported: E10..E17)", name)
-			}
-			res, err := getter(p)
+		for _, e := range exps {
+			res, err := e.result(p)
 			if err != nil {
-				return fmt.Errorf("%s: %w", name, err)
+				return fmt.Errorf("%s: %w", e.name, err)
 			}
-			entries = append(entries, trajectoryEntry{Experiment: name, Seed: p.seed, Result: res})
+			entries = append(entries, trajectoryEntry{Experiment: e.name, Seed: p.seed, Result: res})
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -168,20 +238,34 @@ func run(expArg string, p params) error {
 		return nil
 	}
 
-	for _, name := range names {
-		if err := textRunners[name](p); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+	for _, e := range exps {
+		if err := runText(e, p); err != nil {
+			return fmt.Errorf("%s: %w", e.name, err)
 		}
 	}
 	return nil
 }
 
-func header(title string) {
-	fmt.Printf("\n== %s ==\n", title)
+// runText prints one experiment's human-readable tables under its
+// header. An experiment with a JSON result prints that same result.
+func runText(e experiment, p params) error {
+	if e.text != nil {
+		header(e)
+		return e.text(p)
+	}
+	res, err := e.result(p)
+	if err != nil {
+		return err
+	}
+	header(e)
+	return e.print(res)
+}
+
+func header(e experiment) {
+	fmt.Printf("\n== %-3s %s ==\n", e.name, e.title)
 }
 
 func runE1(p params) error {
-	header("E1  parser correctness on grammatical sentences (Fig. 1-2)")
 	res, err := eval.RunE1(p.n, p.seed)
 	if err != nil {
 		return err
@@ -202,7 +286,6 @@ func runE1(p params) error {
 }
 
 func runE2(p params) error {
-	header("E2  Learning_Angel syntax-error detection (Fig. 4)")
 	fmt.Println("nulls  precision  recall  f1     acc    suggest  repair")
 	for _, nulls := range []int{0, 1, 2, 3} {
 		res, err := eval.RunE2(p.n, p.seed, nulls)
@@ -229,7 +312,6 @@ func runE2(p params) error {
 }
 
 func runE3(p params) error {
-	header("E3  Semantic Agent: interrogative-sentence detection (Fig. 5, §4.3)")
 	fmt.Println("threshold  precision  recall  f1     acc")
 	for _, th := range []int{1, 2, 3, 4} {
 		res, err := eval.RunE3(p.n, p.seed, th)
@@ -255,7 +337,6 @@ func runE3(p params) error {
 }
 
 func runE4(p params) error {
-	header("E4  QA system answer rate per template (Fig. 6, §4.4)")
 	res, err := eval.RunE4(p.n, p.seed, 0.2)
 	if err != nil {
 		return err
@@ -277,7 +358,6 @@ func runE4(p params) error {
 }
 
 func runE5(p params) error {
-	header("E5  FAQ accumulation vs dialogue volume (§4.4 mining)")
 	sizes := []int{100, 300, 1000, 3000}
 	if p.n < 3000 {
 		sizes = []int{50, 150, 500, p.n}
@@ -294,7 +374,6 @@ func runE5(p params) error {
 }
 
 func runE6(p params) error {
-	header("E6  end-to-end chat room over TCP: supervision ablation (Fig. 3)")
 	fmt.Println("mode    msgs  throughput      p50        p95        p99       mean")
 	for _, mode := range []eval.E6Mode{eval.E6Off, eval.E6Inline, eval.E6Async} {
 		res, err := eval.RunE6(eval.E6Config{
@@ -310,7 +389,6 @@ func runE6(p params) error {
 }
 
 func runE7(p params) error {
-	header("E7  ablation: ontology-distance vs Semantic Link Grammar (§4.3)")
 	res, err := eval.RunE7(p.n, p.seed)
 	if err != nil {
 		return err
@@ -325,7 +403,6 @@ func runE7(p params) error {
 }
 
 func runE8(p params) error {
-	header("E8  corpus growth vs suggestion quality (§1 instructor-off problem)")
 	rows, err := eval.RunE8([]int{0, 50, 200, 1000}, 100, p.seed)
 	if err != nil {
 		return err
@@ -338,7 +415,6 @@ func runE8(p params) error {
 }
 
 func runE9(p params) error {
-	header("E9  sharded supervision pipeline: concurrent rooms, parse cache (§4)")
 	perRoom := p.n / 10
 	res, err := eval.RunE9(eval.E9Config{
 		Rooms: p.rooms, MessagesPerRoom: perRoom, Seed: p.seed,
@@ -365,21 +441,20 @@ func runE9(p params) error {
 	return nil
 }
 
-func resultE11(p params) (interface{}, error) {
-	return eval.RunE11(eval.E11Config{
-		Rooms: p.rooms, MessagesPerRoom: p.n / 10, Seed: p.seed,
-	})
+func printE10(res *eval.E10Result) error {
+	fmt.Printf("snapshot v%d: %d items, %d relations, %d table entries (radius %d), max phrase %d\n",
+		res.Snapshot.Version, res.Snapshot.Items, res.Snapshot.Relations,
+		res.Snapshot.TableEntries, res.Snapshot.TableRadius, res.Snapshot.MaxPhraseLen)
+	fmt.Println("workers   queries  ns/query   queries/s")
+	for _, arm := range res.Arms {
+		fmt.Printf("%7d  %8d  %8.1f  %10.0f\n",
+			arm.Workers, arm.Queries, arm.NsPerQuery, arm.QueriesPerSec)
+	}
+	fmt.Println("(the locked-ontology baseline arm is frozen in DESIGN.md §E10)")
+	return nil
 }
 
-func runE11(p params) error {
-	perRoom := p.n / 10
-	res, err := eval.RunE11(eval.E11Config{
-		Rooms: p.rooms, MessagesPerRoom: perRoom, Seed: p.seed,
-	})
-	if err != nil {
-		return err
-	}
-	header("E11 write-ahead journaling overhead + crash recovery (D9)")
+func printE11(res *eval.E11Result) error {
 	fmt.Printf("rooms: %d   messages/room: %d   workers: GOMAXPROCS\n",
 		res.Config.Rooms, res.Config.MessagesPerRoom)
 	fmt.Println("arm               msgs  throughput  overhead  wal-records  fsyncs  recovered")
@@ -397,46 +472,21 @@ func runE11(p params) error {
 	return nil
 }
 
-func resultE10(p params) (interface{}, error) {
-	return eval.RunE10(eval.E10Config{QueriesPerWorker: p.n * 20, Seed: p.seed})
-}
-
-func runE10(p params) error {
-	res, err := eval.RunE10(eval.E10Config{QueriesPerWorker: p.n * 20, Seed: p.seed})
-	if err != nil {
-		return err
-	}
-	header("E10 lock-free snapshot read path (D8)")
-	fmt.Printf("snapshot v%d: %d items, %d relations, %d table entries (radius %d), max phrase %d\n",
-		res.Snapshot.Version, res.Snapshot.Items, res.Snapshot.Relations,
-		res.Snapshot.TableEntries, res.Snapshot.TableRadius, res.Snapshot.MaxPhraseLen)
-	fmt.Println("workers   queries  ns/query   queries/s")
+func printE12(res *eval.E12Result) error {
+	fmt.Printf("capacity: %.0f msg/s (uncached supervision + %s stage cost, workers: GOMAXPROCS)\n",
+		res.CapacityMsgsPerSec, res.Config.StageCost)
+	fmt.Println("arm         offered    sent/s  supervised  shed%        p50        p95        p99  timeouts")
 	for _, arm := range res.Arms {
-		fmt.Printf("%7d  %8d  %8.1f  %10.0f\n",
-			arm.Workers, arm.Queries, arm.NsPerQuery, arm.QueriesPerSec)
+		fmt.Printf("%-10s %7.0f/s %8.0f  %9.0f/s %5.1f%%  %9s  %9s  %9s  %8d\n",
+			arm.Name, arm.OfferedRate, arm.SentRate, arm.SupervisedRate,
+			arm.ShedFraction*100, arm.P50, arm.P95, arm.P99, arm.Timeouts)
 	}
-	fmt.Println("(the locked-ontology baseline arm is frozen in DESIGN.md §E10)")
+	fmt.Printf("at max load: supervised goodput %.0f%% of capacity, p99 shed %s vs blocking %s (bounded: %v)\n",
+		res.GoodputVsCapacity*100, res.P99AtMaxShed, res.P99AtMaxBlocking, res.BoundedP99)
 	return nil
 }
 
-func e13Config(p params) eval.E13Config {
-	turns := p.n / 100
-	if turns < 2 {
-		turns = 2
-	}
-	return eval.E13Config{Rooms: p.rooms, Turns: turns, Seed: p.seed}
-}
-
-func resultE13(p params) (interface{}, error) {
-	return eval.RunE13(e13Config(p))
-}
-
-func runE13(p params) error {
-	res, err := eval.RunE13(e13Config(p))
-	if err != nil {
-		return err
-	}
-	header("E13 scenario matrix: per-persona detection precision/recall (D11)")
+func printE13(res *eval.E13Result) error {
 	fmt.Printf("scenario: %s   messages: %d   supervised: %d   mined FAQ pairs: %d\n",
 		res.Scenario, res.Messages, res.Supervised, res.MinedPairs)
 	fmt.Println("persona       sent  supervised  shed    tp    fp    fn    tn  precision  recall")
@@ -451,34 +501,24 @@ func runE13(p params) error {
 	return nil
 }
 
-func e14Config(p params) eval.E14Config {
-	cfg := eval.E14Config{Seed: p.seed}
-	if p.roomsSet {
-		cfg.Rooms = p.rooms
-	}
-	return cfg
-}
-
-func resultE14(p params) (interface{}, error) {
-	return eval.RunE14(e14Config(p))
-}
-
-func e15Config(p params) eval.E15Config {
-	// -n scales each client's script (default 1000 → 125 lines/client
-	// across the 4×2 population).
-	return eval.E15Config{MessagesEach: p.n / 8, Seed: p.seed}
-}
-
-func resultE15(p params) (interface{}, error) {
-	return eval.RunE15(e15Config(p))
-}
-
-func runE15(p params) error {
-	res, err := eval.RunE15(e15Config(p))
-	if err != nil {
+func printE14(res *eval.E14Result) error {
+	fmt.Printf("master seed: %d   waves: %d   rooms: %d   students: %d\n",
+		res.Config.Seed, res.Waves, res.Rooms, res.Students)
+	fmt.Printf("messages: %d   supervised: %d   shed: %d\n",
+		res.Messages, res.Supervised, res.Shed)
+	fmt.Printf("faults: %d drops (%d torn), %d storms, %d crashes (%d WAL records replayed)\n",
+		res.Faults.Drops, res.Faults.TornDrops, res.Faults.Storms,
+		res.Faults.Crashes, res.Faults.ReplayedRecords)
+	printInvariants(res.InvariantChecks, res.Violations, true)
+	if err := res.Failed(); err != nil {
+		printViolations(res.Violations)
 		return err
 	}
-	header("E15 wire-to-verdict: text vs binary framing over TCP (D13)")
+	fmt.Printf("all invariants held; reproduce with: evalharness -exp E14 -seed %d\n", res.Config.Seed)
+	return nil
+}
+
+func printE15(res *eval.E15Result) error {
 	fmt.Printf("rooms: %d   clients/room: %d   messages/client: %d\n",
 		res.Config.Rooms, res.Config.ClientsPerRoom, res.Config.MessagesEach)
 	fmt.Println("wire     workers   msgs  throughput   allocs/msg   bytes/msg")
@@ -492,62 +532,7 @@ func runE15(p params) error {
 	return nil
 }
 
-func runE14(p params) error {
-	res, err := eval.RunE14(e14Config(p))
-	if err != nil {
-		return err
-	}
-	header("E14 population-scale chaos sweep: generated scenarios vs invariants (D12)")
-	fmt.Printf("master seed: %d   waves: %d   rooms: %d   students: %d\n",
-		res.Config.Seed, res.Waves, res.Rooms, res.Students)
-	fmt.Printf("messages: %d   supervised: %d   shed: %d\n",
-		res.Messages, res.Supervised, res.Shed)
-	fmt.Printf("faults: %d drops (%d torn), %d storms, %d crashes (%d WAL records replayed)\n",
-		res.Faults.Drops, res.Faults.TornDrops, res.Faults.Storms,
-		res.Faults.Crashes, res.Faults.ReplayedRecords)
-	names := make([]string, 0, len(res.InvariantChecks))
-	for name := range res.InvariantChecks {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fmt.Println("invariant           waves-audited  violations")
-	for _, name := range names {
-		count := 0
-		for _, v := range res.Violations {
-			if v.Invariant == name {
-				count++
-			}
-		}
-		fmt.Printf("%-19s %13d  %10d\n", name, res.InvariantChecks[name], count)
-	}
-	if err := res.Failed(); err != nil {
-		for _, v := range res.Violations {
-			fmt.Printf("VIOLATION wave %d (seed %d) %s: %s\n", v.Wave, v.Seed, v.Invariant, v.Detail)
-		}
-		return err
-	}
-	fmt.Printf("all invariants held; reproduce with: evalharness -exp E14 -seed %d\n", res.Config.Seed)
-	return nil
-}
-
-func e16Config(p params) eval.E16Config {
-	cfg := eval.E16Config{Seed: p.seed}
-	if p.roomsSet {
-		cfg.Rooms = p.rooms
-	}
-	return cfg
-}
-
-func resultE16(p params) (interface{}, error) {
-	return eval.RunE16(e16Config(p))
-}
-
-func runE16(p params) error {
-	res, err := eval.RunE16(e16Config(p))
-	if err != nil {
-		return err
-	}
-	header("E16 cluster failover: golden vs fabric vs mid-session owner kill (D15)")
+func printE16(res *eval.E16Result) error {
 	fmt.Printf("drill seed: %d   kill step: %d   reconnect-window deliveries: %d\n",
 		res.Config.Seed, res.KillStep, res.WindowDeliveries)
 	fmt.Println("arm        sent  supervised  deliveries  verdicts")
@@ -568,22 +553,12 @@ func runE16(p params) error {
 	fmt.Printf("sweep: %d waves, %d rooms, %d students, %d messages; %d node kills, %d partitions, %d failovers\n",
 		res.Waves, res.Rooms, res.Students, res.Messages,
 		res.Faults.NodeKills, res.Faults.Partitions, res.Failovers)
-	names := make([]string, 0, len(res.InvariantChecks))
-	for name := range res.InvariantChecks {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fmt.Println("invariant                         waves-audited")
-	for _, name := range names {
-		fmt.Printf("%-33s %13d\n", name, res.InvariantChecks[name])
-	}
+	printInvariants(res.InvariantChecks, res.Violations, false)
 	if err := res.Failed(); err != nil {
 		for _, d := range res.Divergences {
 			fmt.Printf("DIVERGENCE %s\n", d)
 		}
-		for _, v := range res.Violations {
-			fmt.Printf("VIOLATION wave %d (seed %d) %s: %s\n", v.Wave, v.Seed, v.Invariant, v.Detail)
-		}
+		printViolations(res.Violations)
 		return err
 	}
 	fmt.Printf("drill matched golden outside the window and all invariants held; reproduce with: evalharness -exp E16 -seed %d\n",
@@ -591,24 +566,7 @@ func runE16(p params) error {
 	return nil
 }
 
-func e17Config(p params) eval.E17Config {
-	cfg := eval.E17Config{Seed: p.seed}
-	if p.roomsSet {
-		cfg.Rooms = p.rooms
-	}
-	return cfg
-}
-
-func resultE17(p params) (interface{}, error) {
-	return eval.RunE17(e17Config(p))
-}
-
-func runE17(p params) error {
-	res, err := eval.RunE17(e17Config(p))
-	if err != nil {
-		return err
-	}
-	header("E17 adversarial cluster chaos: partitions, staged crashes, lag, skew (D16)")
+func printE17(res *eval.E17Result) error {
 	d := res.Drill
 	fmt.Printf("drill seed: %d   byte-identical replay: %v\n", d.Seed, d.Identical)
 	fmt.Printf("drill: %d messages, %d supervised, %d failovers (%d resumed, %d lossy), %d races (%d seized, %d refused)\n",
@@ -620,22 +578,12 @@ func runE17(p params) error {
 		f.ShipCuts, f.ShipHeals, f.PromoCrash, f.LaggedKills, f.SkewRaces, f.NodeKills, f.Partitions)
 	fmt.Printf("outcomes: %d failovers (%d resumed, %d lossy), %d races (%d seized, %d refused)\n",
 		res.Failovers, f.Resumes, f.LossyPromotions, res.Races, f.Seizures, f.Refusals)
-	names := make([]string, 0, len(res.InvariantChecks))
-	for name := range res.InvariantChecks {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fmt.Println("invariant                         waves-audited")
-	for _, name := range names {
-		fmt.Printf("%-33s %13d\n", name, res.InvariantChecks[name])
-	}
+	printInvariants(res.InvariantChecks, res.Violations, false)
 	if err := res.Failed(); err != nil {
 		for _, v := range res.Drill.Violations {
 			fmt.Printf("DRILL VIOLATION %s: %s\n", v.Invariant, v.Detail)
 		}
-		for _, v := range res.Violations {
-			fmt.Printf("VIOLATION wave %d (seed %d) %s: %s\n", v.Wave, v.Seed, v.Invariant, v.Detail)
-		}
+		printViolations(res.Violations)
 		return err
 	}
 	fmt.Printf("replay byte-identical and all adversarial invariants held; reproduce with: evalharness -exp E17 -seed %d\n",
@@ -643,29 +591,38 @@ func runE17(p params) error {
 	return nil
 }
 
-func e12Config(p params) eval.E12Config {
-	return eval.E12Config{Rooms: p.rooms, Seed: p.seed}
+// printInvariants prints how many waves audited each invariant. The
+// single-node layout (E14) adds a column counting each invariant's
+// violations; the cluster layout (E16, E17) leaves the violations to
+// printViolations.
+func printInvariants(checks map[string]int, violations []eval.E14Violation, countViolations bool) {
+	names := make([]string, 0, len(checks))
+	for name := range checks {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	if !countViolations {
+		fmt.Println("invariant                         waves-audited")
+		for _, name := range names {
+			fmt.Printf("%-33s %13d\n", name, checks[name])
+		}
+		return
+	}
+	fmt.Println("invariant           waves-audited  violations")
+	for _, name := range names {
+		count := 0
+		for _, v := range violations {
+			if v.Invariant == name {
+				count++
+			}
+		}
+		fmt.Printf("%-19s %13d  %10d\n", name, checks[name], count)
+	}
 }
 
-func resultE12(p params) (interface{}, error) {
-	return eval.RunE12(e12Config(p))
-}
-
-func runE12(p params) error {
-	res, err := eval.RunE12(e12Config(p))
-	if err != nil {
-		return err
+// printViolations lists every sweep violation with its wave seed.
+func printViolations(violations []eval.E14Violation) {
+	for _, v := range violations {
+		fmt.Printf("VIOLATION wave %d (seed %d) %s: %s\n", v.Wave, v.Seed, v.Invariant, v.Detail)
 	}
-	header("E12 overload shedding: open-loop load at N× capacity (D10)")
-	fmt.Printf("capacity: %.0f msg/s (uncached supervision + %s stage cost, workers: GOMAXPROCS)\n",
-		res.CapacityMsgsPerSec, res.Config.StageCost)
-	fmt.Println("arm         offered    sent/s  supervised  shed%        p50        p95        p99  timeouts")
-	for _, arm := range res.Arms {
-		fmt.Printf("%-10s %7.0f/s %8.0f  %9.0f/s %5.1f%%  %9s  %9s  %9s  %8d\n",
-			arm.Name, arm.OfferedRate, arm.SentRate, arm.SupervisedRate,
-			arm.ShedFraction*100, arm.P50, arm.P95, arm.P99, arm.Timeouts)
-	}
-	fmt.Printf("at max load: supervised goodput %.0f%% of capacity, p99 shed %s vs blocking %s (bounded: %v)\n",
-		res.GoodputVsCapacity*100, res.P99AtMaxShed, res.P99AtMaxBlocking, res.BoundedP99)
-	return nil
 }

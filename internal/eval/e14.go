@@ -2,12 +2,7 @@ package eval
 
 import (
 	"fmt"
-	"os"
-	"runtime"
-	"sort"
-	"sync"
 
-	"semagent/internal/simulate"
 	"semagent/internal/simulate/gen"
 )
 
@@ -101,21 +96,9 @@ func (r *E14Result) Failed() error {
 		len(r.Violations), v.Wave, v.Seed, v.Invariant, v.Detail, r.Config.Seed, r.Config.Rooms)
 }
 
-// splitmix64 is the wave-seed derivation: a well-mixed 64-bit permuted
-// stream so neighbouring master seeds explore unrelated populations.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
 // waveProfiles rotate over the wave index so every sweep of >= 4 waves
 // exercises every fault class — and therefore every invariant.
-var waveProfiles = []struct {
-	name string
-	cfg  func(c *gen.Config)
-}{
+var waveProfiles = []waveProfile{
 	{"uniform-drops", func(c *gen.Config) {
 		c.Arrival = gen.ArrivalUniform
 		c.DropFraction, c.TornFraction = 0.5, 0.5
@@ -138,9 +121,7 @@ var waveProfiles = []struct {
 
 // RunE14 sweeps a generated population of cfg.Rooms classrooms split
 // into chaos-profiled waves, replays every wave through the full stack
-// (waves run concurrently; each wave is internally deterministic and
-// results aggregate in wave order, so the outcome is parallelism-
-// independent), and audits each against the chaos invariants.
+// and audits each against the chaos invariants.
 func RunE14(cfg E14Config) (*E14Result, error) {
 	if cfg.Rooms <= 0 {
 		cfg.Rooms = 1000
@@ -151,77 +132,21 @@ func RunE14(cfg E14Config) (*E14Result, error) {
 	if cfg.RoomsPerWave <= 0 {
 		cfg.RoomsPerWave = 50
 	}
-	waves := (cfg.Rooms + cfg.RoomsPerWave - 1) / cfg.RoomsPerWave
-	if waves < 4 {
-		waves = 4
+	s, err := sweep(sweepConfig{
+		name: "E14", seed: cfg.Seed, rooms: cfg.Rooms,
+		roomsPerWave: cfg.RoomsPerWave, parallel: cfg.Parallel,
+	}, waveProfiles, runE14Wave)
+	if err != nil {
+		return nil, err
 	}
-	if waves > cfg.Rooms {
-		waves = cfg.Rooms
-	}
-	parallel := cfg.Parallel
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	if parallel > waves {
-		parallel = waves
-	}
-
 	out := &E14Result{
 		Config:          cfg,
-		Waves:           waves,
-		InvariantChecks: make(map[string]int),
-		WaveResults:     make([]E14Wave, waves),
-		Violations:      []E14Violation{},
+		Waves:           len(s.waves),
+		InvariantChecks: s.checks,
+		WaveResults:     s.waves,
+		Violations:      s.violations,
 	}
-
-	type waveErr struct {
-		idx int
-		err error
-	}
-	var (
-		wg      sync.WaitGroup
-		errOnce sync.Mutex
-		firstE  *waveErr
-	)
-	sem := make(chan struct{}, parallel)
-	base, rem := cfg.Rooms/waves, cfg.Rooms%waves
-	for i := 0; i < waves; i++ {
-		rooms := base
-		if i < rem {
-			rooms++
-		}
-		profile := waveProfiles[i%len(waveProfiles)]
-		gcfg := gen.Config{
-			Seed:  int64(splitmix64(uint64(cfg.Seed)+uint64(i)*0x9E3779B97F4A7C15) &^ (1 << 63)),
-			Rooms: rooms,
-		}
-		profile.cfg(&gcfg)
-
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, gcfg gen.Config, profile string) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			wave, err := runWave(i, profile, gcfg)
-			if err != nil {
-				errOnce.Lock()
-				if firstE == nil {
-					firstE = &waveErr{i, err}
-				}
-				errOnce.Unlock()
-				return
-			}
-			out.WaveResults[i] = wave
-		}(i, gcfg, profile.name)
-	}
-	wg.Wait()
-	if firstE != nil {
-		return nil, fmt.Errorf("E14 wave %d: %w", firstE.idx, firstE.err)
-	}
-
-	// Aggregate in wave order: the artifact is byte-identical however
-	// the waves were scheduled.
-	for _, w := range out.WaveResults {
+	for _, w := range s.waves {
 		out.Rooms += w.Rooms
 		out.Students += w.Students
 		out.Messages += w.Messages
@@ -232,63 +157,35 @@ func RunE14(cfg E14Config) (*E14Result, error) {
 		out.Faults.Storms += w.Faults.Storms
 		out.Faults.Crashes += w.Faults.Crashes
 		out.Faults.ReplayedRecords += w.Faults.ReplayedRecords
-		for _, name := range w.Checked {
-			out.InvariantChecks[name]++
-		}
-		for _, v := range w.Violations {
-			out.Violations = append(out.Violations, E14Violation{
-				Wave: w.Index, Seed: w.Seed, Invariant: v.Invariant, Detail: v.Detail,
-			})
-		}
 	}
-	sort.Slice(out.Violations, func(i, j int) bool {
-		a, b := out.Violations[i], out.Violations[j]
-		if a.Wave != b.Wave {
-			return a.Wave < b.Wave
-		}
-		return a.Invariant < b.Invariant
-	})
 	return out, nil
 }
 
-// runWave generates, replays and audits one population.
-func runWave(idx int, profile string, gcfg gen.Config) (E14Wave, error) {
-	sc, plan, err := gen.Generate(gcfg)
+// runE14Wave generates, replays and audits one population.
+func runE14Wave(idx int, profile string, g gen.Config) (E14Wave, error) {
+	r, err := replayGenerated(g)
 	if err != nil {
-		return E14Wave{}, fmt.Errorf("generate: %w", err)
+		return E14Wave{}, err
 	}
-	dir := ""
-	if sc.Journal {
-		dir, err = os.MkdirTemp("", "e14-wave-*")
-		if err != nil {
-			return E14Wave{}, fmt.Errorf("journal dir: %w", err)
-		}
-		defer os.RemoveAll(dir)
-	}
-	res, err := simulate.Run(sc, dir)
-	if err != nil {
-		return E14Wave{}, fmt.Errorf("run %s: %w", sc.Name, err)
-	}
-	rep := gen.Check(sc, res)
 	wave := E14Wave{
 		Index:      idx,
-		Seed:       gcfg.Seed,
+		Seed:       g.Seed,
 		Profile:    profile,
-		Rooms:      plan.Rooms,
-		Students:   plan.Students,
-		Messages:   res.Sent,
-		Supervised: res.Supervised,
-		Shed:       res.Unsupervised,
+		Rooms:      r.plan.Rooms,
+		Students:   r.plan.Students,
+		Messages:   r.res.Sent,
+		Supervised: r.res.Supervised,
+		Shed:       r.res.Unsupervised,
 		Faults: E14Faults{
-			Drops:     plan.Drops,
-			TornDrops: plan.TornDrops,
-			Storms:    plan.Storms,
-			Crashes:   plan.Crashes,
+			Drops:     r.plan.Drops,
+			TornDrops: r.plan.TornDrops,
+			Storms:    r.plan.Storms,
+			Crashes:   r.plan.Crashes,
 		},
-		Checked:    rep.Checked,
-		Violations: rep.Violations,
+		Checked:    r.rep.Checked,
+		Violations: r.rep.Violations,
 	}
-	for _, rec := range res.Recoveries {
+	for _, rec := range r.res.Recoveries {
 		wave.Faults.ReplayedRecords += rec.ReplayedRecords
 	}
 	return wave, nil

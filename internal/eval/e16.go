@@ -2,11 +2,7 @@ package eval
 
 import (
 	"fmt"
-	"os"
 	"reflect"
-	"runtime"
-	"sort"
-	"sync"
 
 	"semagent/internal/chat"
 	"semagent/internal/cluster"
@@ -124,10 +120,7 @@ func (r *E16Result) Failed() error {
 // e16Profiles rotate over the wave index so every sweep of >= 4 waves
 // exercises single kills, kill+partition mixes, chained kills and
 // pure partitions.
-var e16Profiles = []struct {
-	name string
-	cfg  func(c *gen.Config)
-}{
+var e16Profiles = []waveProfile{
 	{"poisson-kill", func(c *gen.Config) {
 		c.Arrival = gen.ArrivalPoisson
 		c.DropFraction = 0.3
@@ -164,17 +157,33 @@ func RunE16(cfg E16Config) (*E16Result, error) {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 3
 	}
-	out := &E16Result{
-		Config:          cfg,
-		Divergences:     []string{},
-		InvariantChecks: make(map[string]int),
-		Violations:      []E14Violation{},
-	}
+	out := &E16Result{Config: cfg, Divergences: []string{}}
 	if err := runE16Drill(cfg, out); err != nil {
 		return nil, err
 	}
-	if err := runE16Sweep(cfg, out); err != nil {
+	s, err := sweep(sweepConfig{
+		name: "E16", seed: cfg.Seed, rooms: cfg.Rooms,
+		roomsPerWave: cfg.RoomsPerWave, parallel: cfg.Parallel, nodes: cfg.Nodes,
+	}, e16Profiles, runE16Wave)
+	if err != nil {
 		return nil, err
+	}
+	out.Waves = len(s.waves)
+	out.InvariantChecks = s.checks
+	out.WaveResults = s.waves
+	out.Violations = s.violations
+	for _, w := range s.waves {
+		out.Rooms += w.Rooms
+		out.Students += w.Students
+		out.Messages += w.Messages
+		out.Supervised += w.Supervised
+		out.Failovers += w.Failovers
+		out.Faults.Drops += w.Faults.Drops
+		out.Faults.TornDrops += w.Faults.TornDrops
+		out.Faults.Storms += w.Faults.Storms
+		out.Faults.NodeKills += w.Faults.NodeKills
+		out.Faults.Partitions += w.Faults.Partitions
+		out.Faults.PromotedReplays += w.Faults.PromotedReplays
 	}
 	return out, nil
 }
@@ -182,16 +191,7 @@ func RunE16(cfg E16Config) (*E16Result, error) {
 // runDrillArm replays one drill arm.
 func runDrillArm(seed int64, mode simulate.DrillMode) (*simulate.Result, int, error) {
 	sc, kill := simulate.FailoverDrill(seed, mode)
-	dir := ""
-	if sc.Cluster != nil {
-		var err error
-		dir, err = os.MkdirTemp("", "e16-drill-*")
-		if err != nil {
-			return nil, 0, fmt.Errorf("drill dir: %w", err)
-		}
-		defer os.RemoveAll(dir)
-	}
-	res, err := simulate.Run(sc, dir)
+	res, err := replay(sc)
 	if err != nil {
 		return nil, 0, fmt.Errorf("drill %v: %w", mode, err)
 	}
@@ -322,137 +322,32 @@ func runE16Drill(cfg E16Config, out *E16Result) error {
 	return nil
 }
 
-func runE16Sweep(cfg E16Config, out *E16Result) error {
-	waves := (cfg.Rooms + cfg.RoomsPerWave - 1) / cfg.RoomsPerWave
-	if waves < len(e16Profiles) {
-		waves = len(e16Profiles)
-	}
-	if waves > cfg.Rooms {
-		waves = cfg.Rooms
-	}
-	parallel := cfg.Parallel
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	if parallel > waves {
-		parallel = waves
-	}
-	out.Waves = waves
-	out.WaveResults = make([]E16Wave, waves)
-
-	type waveErr struct {
-		idx int
-		err error
-	}
-	var (
-		wg      sync.WaitGroup
-		errOnce sync.Mutex
-		firstE  *waveErr
-	)
-	sem := make(chan struct{}, parallel)
-	base, rem := cfg.Rooms/waves, cfg.Rooms%waves
-	for i := 0; i < waves; i++ {
-		rooms := base
-		if i < rem {
-			rooms++
-		}
-		profile := e16Profiles[i%len(e16Profiles)]
-		gcfg := gen.Config{
-			Seed:         int64(splitmix64(uint64(cfg.Seed)+uint64(i)*0x9E3779B97F4A7C15) &^ (1 << 63)),
-			Rooms:        rooms,
-			ClusterNodes: cfg.Nodes,
-		}
-		profile.cfg(&gcfg)
-
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, gcfg gen.Config, profile string) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			wave, err := runE16Wave(i, profile, gcfg)
-			if err != nil {
-				errOnce.Lock()
-				if firstE == nil {
-					firstE = &waveErr{i, err}
-				}
-				errOnce.Unlock()
-				return
-			}
-			out.WaveResults[i] = wave
-		}(i, gcfg, profile.name)
-	}
-	wg.Wait()
-	if firstE != nil {
-		return fmt.Errorf("E16 wave %d: %w", firstE.idx, firstE.err)
-	}
-
-	for _, w := range out.WaveResults {
-		out.Rooms += w.Rooms
-		out.Students += w.Students
-		out.Messages += w.Messages
-		out.Supervised += w.Supervised
-		out.Failovers += w.Failovers
-		out.Faults.Drops += w.Faults.Drops
-		out.Faults.TornDrops += w.Faults.TornDrops
-		out.Faults.Storms += w.Faults.Storms
-		out.Faults.NodeKills += w.Faults.NodeKills
-		out.Faults.Partitions += w.Faults.Partitions
-		out.Faults.PromotedReplays += w.Faults.PromotedReplays
-		for _, name := range w.Checked {
-			out.InvariantChecks[name]++
-		}
-		for _, v := range w.Violations {
-			out.Violations = append(out.Violations, E14Violation{
-				Wave: w.Index, Seed: w.Seed, Invariant: v.Invariant, Detail: v.Detail,
-			})
-		}
-	}
-	sort.Slice(out.Violations, func(i, j int) bool {
-		a, b := out.Violations[i], out.Violations[j]
-		if a.Wave != b.Wave {
-			return a.Wave < b.Wave
-		}
-		return a.Invariant < b.Invariant
-	})
-	return nil
-}
-
 // runE16Wave generates, replays and audits one cluster population.
-func runE16Wave(idx int, profile string, gcfg gen.Config) (E16Wave, error) {
-	sc, plan, err := gen.Generate(gcfg)
+func runE16Wave(idx int, profile string, g gen.Config) (E16Wave, error) {
+	r, err := replayGenerated(g)
 	if err != nil {
-		return E16Wave{}, fmt.Errorf("generate: %w", err)
+		return E16Wave{}, err
 	}
-	dir, err := os.MkdirTemp("", "e16-wave-*")
-	if err != nil {
-		return E16Wave{}, fmt.Errorf("data dir: %w", err)
-	}
-	defer os.RemoveAll(dir)
-	res, err := simulate.Run(sc, dir)
-	if err != nil {
-		return E16Wave{}, fmt.Errorf("run %s: %w", sc.Name, err)
-	}
-	rep := gen.Check(sc, res)
 	wave := E16Wave{
 		Index:      idx,
-		Seed:       gcfg.Seed,
+		Seed:       g.Seed,
 		Profile:    profile,
-		Rooms:      plan.Rooms,
-		Students:   plan.Students,
-		Messages:   res.Sent,
-		Supervised: res.Supervised,
-		Failovers:  len(res.Failovers),
+		Rooms:      r.plan.Rooms,
+		Students:   r.plan.Students,
+		Messages:   r.res.Sent,
+		Supervised: r.res.Supervised,
+		Failovers:  len(r.res.Failovers),
 		Faults: E16Faults{
-			Drops:      plan.Drops,
-			TornDrops:  plan.TornDrops,
-			Storms:     plan.Storms,
-			NodeKills:  plan.NodeKills,
-			Partitions: plan.Partitions,
+			Drops:      r.plan.Drops,
+			TornDrops:  r.plan.TornDrops,
+			Storms:     r.plan.Storms,
+			NodeKills:  r.plan.NodeKills,
+			Partitions: r.plan.Partitions,
 		},
-		Checked:    rep.Checked,
-		Violations: rep.Violations,
+		Checked:    r.rep.Checked,
+		Violations: r.rep.Violations,
 	}
-	for _, fo := range res.Failovers {
+	for _, fo := range r.res.Failovers {
 		wave.Faults.PromotedReplays += fo.ReplayApplied
 	}
 	return wave, nil

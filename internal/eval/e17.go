@@ -4,12 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
-	"sort"
-	"sync"
 
-	"semagent/internal/simulate"
 	"semagent/internal/simulate/gen"
 )
 
@@ -134,10 +129,7 @@ func (r *E17Result) Failed() error {
 // e17Profiles rotate over the wave index so every sweep of >= 4 waves
 // exercises each adversarial class, one per wave, against a realistic
 // population.
-var e17Profiles = []struct {
-	name string
-	cfg  func(c *gen.Config)
-}{
+var e17Profiles = []waveProfile{
 	{"asym-partition", func(c *gen.Config) {
 		c.Arrival = gen.ArrivalPoisson
 		c.DropFraction = 0.3
@@ -175,79 +167,86 @@ func RunE17(cfg E17Config) (*E17Result, error) {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 3
 	}
-	out := &E17Result{
-		Config:          cfg,
-		InvariantChecks: make(map[string]int),
-		Violations:      []E14Violation{},
-	}
+	out := &E17Result{Config: cfg}
 	if err := runE17Drill(cfg, out); err != nil {
 		return nil, err
 	}
-	if err := runE17Sweep(cfg, out); err != nil {
+	s, err := sweep(sweepConfig{
+		name: "E17", seed: cfg.Seed, rooms: cfg.Rooms,
+		roomsPerWave: cfg.RoomsPerWave, parallel: cfg.Parallel, nodes: cfg.Nodes,
+		salt: 0xE17,
+	}, e17Profiles, runE17Wave)
+	if err != nil {
 		return nil, err
+	}
+	out.Waves = len(s.waves)
+	out.InvariantChecks = s.checks
+	out.WaveResults = s.waves
+	out.Violations = s.violations
+	for _, w := range s.waves {
+		out.Rooms += w.Rooms
+		out.Students += w.Students
+		out.Messages += w.Messages
+		out.Supervised += w.Supervised
+		out.Failovers += w.Failovers
+		out.Races += w.Races
+		out.Faults.ShipCuts += w.Faults.ShipCuts
+		out.Faults.ShipHeals += w.Faults.ShipHeals
+		out.Faults.PromoCrash += w.Faults.PromoCrash
+		out.Faults.LaggedKills += w.Faults.LaggedKills
+		out.Faults.SkewRaces += w.Faults.SkewRaces
+		out.Faults.NodeKills += w.Faults.NodeKills
+		out.Faults.Partitions += w.Faults.Partitions
+		out.Faults.Seizures += w.Faults.Seizures
+		out.Faults.Refusals += w.Faults.Refusals
+		out.Faults.LossyPromotions += w.Faults.LossyPromotions
+		out.Faults.Resumes += w.Faults.Resumes
 	}
 	return out, nil
 }
 
-// e17Summarize folds one run's plan and result into a wave record.
-func e17Summarize(idx int, profile string, gcfg gen.Config, plan gen.Plan, res *simulate.Result, rep gen.Report) E17Wave {
+// runE17Wave generates, replays and audits one adversarial population.
+func runE17Wave(idx int, profile string, g gen.Config) (E17Wave, error) {
+	r, err := replayGenerated(g)
+	if err != nil {
+		return E17Wave{}, err
+	}
 	wave := E17Wave{
 		Index:      idx,
-		Seed:       gcfg.Seed,
+		Seed:       g.Seed,
 		Profile:    profile,
-		Rooms:      plan.Rooms,
-		Students:   plan.Students,
-		Messages:   res.Sent,
-		Supervised: res.Supervised,
-		Failovers:  len(res.Failovers),
-		Races:      len(res.LeaseRaces),
+		Rooms:      r.plan.Rooms,
+		Students:   r.plan.Students,
+		Messages:   r.res.Sent,
+		Supervised: r.res.Supervised,
+		Failovers:  len(r.res.Failovers),
+		Races:      len(r.res.LeaseRaces),
 		Faults: E17Faults{
-			ShipCuts:    plan.ShipCuts,
-			ShipHeals:   plan.ShipHeals,
-			PromoCrash:  plan.PromotionCrashes,
-			LaggedKills: plan.LaggedKills,
-			SkewRaces:   plan.SkewRaces,
-			NodeKills:   plan.NodeKills,
-			Partitions:  plan.Partitions,
+			ShipCuts:    r.plan.ShipCuts,
+			ShipHeals:   r.plan.ShipHeals,
+			PromoCrash:  r.plan.PromotionCrashes,
+			LaggedKills: r.plan.LaggedKills,
+			SkewRaces:   r.plan.SkewRaces,
+			NodeKills:   r.plan.NodeKills,
+			Partitions:  r.plan.Partitions,
 		},
-		Checked:    rep.Checked,
-		Violations: rep.Violations,
+		Checked:    r.rep.Checked,
+		Violations: r.rep.Violations,
 	}
-	for _, fo := range res.Failovers {
+	for _, fo := range r.res.Failovers {
 		if fo.Lossy {
 			wave.Faults.LossyPromotions++
 		}
 		wave.Faults.Resumes += fo.Resumes
 	}
-	for _, lr := range res.LeaseRaces {
+	for _, lr := range r.res.LeaseRaces {
 		if lr.Seized {
 			wave.Faults.Seizures++
 		} else {
 			wave.Faults.Refusals++
 		}
 	}
-	return wave
-}
-
-// runE17Wave generates, replays and audits one adversarial population,
-// returning the transcript alongside the summary so the drill can
-// compare replays byte for byte.
-func runE17Wave(idx int, profile string, gcfg gen.Config) (E17Wave, []byte, error) {
-	sc, plan, err := gen.Generate(gcfg)
-	if err != nil {
-		return E17Wave{}, nil, fmt.Errorf("generate: %w", err)
-	}
-	dir, err := os.MkdirTemp("", "e17-wave-*")
-	if err != nil {
-		return E17Wave{}, nil, fmt.Errorf("data dir: %w", err)
-	}
-	defer os.RemoveAll(dir)
-	res, err := simulate.Run(sc, dir)
-	if err != nil {
-		return E17Wave{}, nil, fmt.Errorf("run %s: %w", sc.Name, err)
-	}
-	rep := gen.Check(sc, res)
-	return e17Summarize(idx, profile, gcfg, plan, res, rep), res.Transcript, nil
+	return wave, nil
 }
 
 // runE17Drill runs ONE population carrying all four adversarial
@@ -267,11 +266,11 @@ func runE17Drill(cfg E17Config, out *E17Result) error {
 		NodeKills:    2, PromotionCrashes: 1, LaggedKills: 1,
 		ShipCuts: 1, SkewRaces: 2,
 	}
-	one, _, err := runE17Wave(0, "all-classes", gcfg)
+	one, err := runE17Wave(0, "all-classes", gcfg)
 	if err != nil {
 		return fmt.Errorf("E17 drill: %w", err)
 	}
-	two, _, err := runE17Wave(0, "all-classes", gcfg)
+	two, err := runE17Wave(0, "all-classes", gcfg)
 	if err != nil {
 		return fmt.Errorf("E17 drill replay: %w", err)
 	}
@@ -294,106 +293,5 @@ func runE17Drill(cfg E17Config, out *E17Result) error {
 		Violations: one.Violations,
 		Identical:  bytes.Equal(j1, j2),
 	}
-	return nil
-}
-
-func runE17Sweep(cfg E17Config, out *E17Result) error {
-	waves := (cfg.Rooms + cfg.RoomsPerWave - 1) / cfg.RoomsPerWave
-	if waves < len(e17Profiles) {
-		waves = len(e17Profiles)
-	}
-	if waves > cfg.Rooms {
-		waves = cfg.Rooms
-	}
-	parallel := cfg.Parallel
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	if parallel > waves {
-		parallel = waves
-	}
-	out.Waves = waves
-	out.WaveResults = make([]E17Wave, waves)
-
-	type waveErr struct {
-		idx int
-		err error
-	}
-	var (
-		wg      sync.WaitGroup
-		errOnce sync.Mutex
-		firstE  *waveErr
-	)
-	sem := make(chan struct{}, parallel)
-	base, rem := cfg.Rooms/waves, cfg.Rooms%waves
-	for i := 0; i < waves; i++ {
-		rooms := base
-		if i < rem {
-			rooms++
-		}
-		profile := e17Profiles[i%len(e17Profiles)]
-		gcfg := gen.Config{
-			Seed:         int64(splitmix64(uint64(cfg.Seed)+0xE17+uint64(i)*0x9E3779B97F4A7C15) &^ (1 << 63)),
-			Rooms:        rooms,
-			ClusterNodes: cfg.Nodes,
-		}
-		profile.cfg(&gcfg)
-
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, gcfg gen.Config, profile string) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			wave, _, err := runE17Wave(i, profile, gcfg)
-			if err != nil {
-				errOnce.Lock()
-				if firstE == nil {
-					firstE = &waveErr{i, err}
-				}
-				errOnce.Unlock()
-				return
-			}
-			out.WaveResults[i] = wave
-		}(i, gcfg, profile.name)
-	}
-	wg.Wait()
-	if firstE != nil {
-		return fmt.Errorf("E17 wave %d: %w", firstE.idx, firstE.err)
-	}
-
-	for _, w := range out.WaveResults {
-		out.Rooms += w.Rooms
-		out.Students += w.Students
-		out.Messages += w.Messages
-		out.Supervised += w.Supervised
-		out.Failovers += w.Failovers
-		out.Races += w.Races
-		out.Faults.ShipCuts += w.Faults.ShipCuts
-		out.Faults.ShipHeals += w.Faults.ShipHeals
-		out.Faults.PromoCrash += w.Faults.PromoCrash
-		out.Faults.LaggedKills += w.Faults.LaggedKills
-		out.Faults.SkewRaces += w.Faults.SkewRaces
-		out.Faults.NodeKills += w.Faults.NodeKills
-		out.Faults.Partitions += w.Faults.Partitions
-		out.Faults.Seizures += w.Faults.Seizures
-		out.Faults.Refusals += w.Faults.Refusals
-		out.Faults.LossyPromotions += w.Faults.LossyPromotions
-		out.Faults.Resumes += w.Faults.Resumes
-		for _, name := range w.Checked {
-			out.InvariantChecks[name]++
-		}
-		for _, v := range w.Violations {
-			out.Violations = append(out.Violations, E14Violation{
-				Wave: w.Index, Seed: w.Seed, Invariant: v.Invariant, Detail: v.Detail,
-			})
-		}
-	}
-	sort.Slice(out.Violations, func(i, j int) bool {
-		a, b := out.Violations[i], out.Violations[j]
-		if a.Wave != b.Wave {
-			return a.Wave < b.Wave
-		}
-		return a.Invariant < b.Invariant
-	})
 	return nil
 }

@@ -9,9 +9,7 @@ import (
 	"semagent/internal/corpus"
 	"semagent/internal/linkgrammar"
 	"semagent/internal/ontology"
-	"semagent/internal/qa"
 	"semagent/internal/semantic"
-	"semagent/internal/sentence"
 	"semagent/internal/workload"
 )
 
@@ -495,28 +493,3 @@ func sharesTopic(a, b []string) bool {
 	}
 	return false
 }
-
-// Helpers shared with the harness command.
-
-// ClassifyKind maps a corpus verdict back to the workload kind space
-// (used in tests).
-func ClassifyKind(v corpus.Verdict) workload.Kind {
-	switch v {
-	case corpus.VerdictSyntaxError:
-		return workload.KindSyntaxError
-	case corpus.VerdictSemanticError:
-		return workload.KindSemanticError
-	case corpus.VerdictQuestion:
-		return workload.KindQuestion
-	default:
-		return workload.KindCorrect
-	}
-}
-
-// PatternOf re-exports sentence classification for the harness.
-func PatternOf(text string) sentence.Pattern {
-	return sentence.ClassifyText(text).Pattern
-}
-
-// FAQTop re-exports FAQ ranking for the harness.
-func FAQTop(f *qa.FAQ, n int) []qa.Entry { return f.Top(n) }

@@ -16,14 +16,6 @@ type Confusion struct {
 	TP, FP, TN, FN int
 }
 
-// Add merges another matrix.
-func (c *Confusion) Add(o Confusion) {
-	c.TP += o.TP
-	c.FP += o.FP
-	c.TN += o.TN
-	c.FN += o.FN
-}
-
 // Observe records one (predicted, actual) pair.
 func (c *Confusion) Observe(predicted, actual bool) {
 	switch {
@@ -87,9 +79,6 @@ type Latencies struct {
 
 // Record adds one sample.
 func (l *Latencies) Record(d time.Duration) { l.samples = append(l.samples, d) }
-
-// Len is the number of samples.
-func (l *Latencies) Len() int { return len(l.samples) }
 
 // Quantile returns the q-quantile (0 <= q <= 1).
 func (l *Latencies) Quantile(q float64) time.Duration {
